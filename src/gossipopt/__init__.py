@@ -3,7 +3,6 @@ optimization with client sampling and accelerated gossip."""
 
 __version__ = "0.1.0"
 
-from ._kernels import active_backend
 from .core import (
     DivergenceError,
     EpochOutputs,
@@ -17,6 +16,7 @@ from .core import (
 from .gossip import GossipConfig, fast_gossip, plain_gossip, plan_rounds
 from .metrics import (
     GoldsteinProbeConfig,
+    InvariantViolation,
     MetricsRecord,
     MetricsSink,
     consensus_errors,
@@ -31,8 +31,6 @@ from .oracles import (
     load_libsvm,
     serialize_libsvm,
     shard,
-    svm_subgradient,
-    svm_value,
     zeroth_order_estimator,
 )
 from .topology import (
@@ -42,8 +40,13 @@ from .topology import (
     build_ring,
     from_weights,
     single_client,
-    spectral_gap,
 )
+
+
+def active_backend() -> str:
+    """Name of the numeric backend; numpy is the only one."""
+    return "numpy"
+
 
 __all__ = [
     "__version__",
@@ -61,6 +64,7 @@ __all__ = [
     "plain_gossip",
     "plan_rounds",
     "GoldsteinProbeConfig",
+    "InvariantViolation",
     "MetricsRecord",
     "MetricsSink",
     "consensus_errors",
@@ -73,8 +77,6 @@ __all__ = [
     "load_libsvm",
     "serialize_libsvm",
     "shard",
-    "svm_subgradient",
-    "svm_value",
     "zeroth_order_estimator",
     "MixingMatrix",
     "TopologyError",
@@ -82,5 +84,4 @@ __all__ = [
     "build_ring",
     "from_weights",
     "single_client",
-    "spectral_gap",
 ]

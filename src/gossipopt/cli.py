@@ -374,8 +374,10 @@ def resolve_plan(
     diameter: float | None,
 ) -> RunPlan:
     alg = cfg.algorithm
+    # the baseline mixes with one plain round, whatever the planner would pick
+    rounds = 1 if alg.method == "baseline" else alg.R
     overrides = PlanOverrides(
-        eta=eta, D=diameter, R=alg.R, K=alg.K, T=alg.T, eps_prime=alg.eps_prime
+        eta=eta, D=diameter, R=rounds, K=alg.K, T=alg.T, eps_prime=alg.eps_prime
     )
     try:
         return plan_parameters(

@@ -1,6 +1,6 @@
 """The decentralized optimization drivers and their parameter planner.
 
-Two drivers share one engine skeleton:
+Two drivers share one epoch loop and differ only in their step:
 
 * ``run_docs``: per step, one uniformly sampled client queries its local
   oracle and applies the n-scaled clipped online update; both the iterate
@@ -27,12 +27,13 @@ import numpy as np
 from .gossip import GossipConfig, fast_gossip, plain_gossip, plan_rounds
 from .metrics import (
     GoldsteinProbeConfig,
+    InvariantViolation,
     MetricsRecord,
     MetricsSink,
     consensus_errors,
     goldstein_probe,
 )
-from .oracles import first_order_estimator, zeroth_order_estimator
+from .oracles import OracleSample, first_order_estimator, zeroth_order_estimator
 from .rng import stream
 from .topology import MixingMatrix
 
@@ -245,6 +246,10 @@ class RunCounters:
     communication_rounds: int = 0
     function_evals: int = 0
 
+    def charge(self, out: OracleSample) -> None:
+        self.samples_total += out.oracle_calls_charged
+        self.function_evals += out.function_evals
+
 
 @dataclass(frozen=True)
 class StepSnapshot:
@@ -292,18 +297,50 @@ def run_docs(
     goldstein_every: int = 0,
     step_observer: Callable[[StepSnapshot], None] | None = None,
 ) -> EpochOutputs:
-    """Client-sampled driver: one oracle call per step, accelerated gossip."""
-    return _run_engine(
-        plan,
-        problem,
-        matrix,
-        full_participation=False,
-        sink=sink,
-        metrics_every=metrics_every,
-        goldstein_cfg=goldstein_cfg,
-        goldstein_every=goldstein_every,
-        step_observer=step_observer,
-    )
+    """Client-sampled driver: one oracle call per step, accelerated gossip.
+
+    With plan.consensus_guaranteed every step also checks the consensus
+    bounds the planned R guarantees and raises InvariantViolation on a
+    breach.
+    """
+    _check_compatible(plan, problem, matrix)
+    n, seed = plan.n, plan.seed
+    estimator = _estimator(plan)
+    gossip_cfg = GossipConfig.create(matrix, plan.R)
+
+    def step(k, t, y, delta_half, w, rng_xi, rng_z, counters):
+        i = int(stream(seed, "client", k, t).integers(n))
+        x = y.copy()
+        x[i] += n * delta_half[i]
+        y = fast_gossip(gossip_cfg, x)
+        out = estimator(problem, i, w[i], plan.delta_prime, rng_xi, rng_z)
+        counters.charge(out)
+        delta = np.zeros_like(x)
+        delta[i] = inner_update(delta_half[i], out.g, plan.eta, plan.D, n)
+        upd_norm = float(np.linalg.norm(delta[i]))
+        # non-finite states fall through to the divergence check
+        if np.isfinite(upd_norm):
+            _require("clipped update norm", upd_norm, n * plan.D, k, t, rtol=1e-12)
+        # all other rows are zero, so the stack mean is update / n
+        stack_sum = delta.sum(axis=0)
+        if not np.array_equal(stack_sum, delta[i], equal_nan=True):
+            gap = float(np.abs(stack_sum - delta[i]).max())
+            raise InvariantViolation("update stack sum off the active row", k, t, gap, 0.0)
+        return i, x, y, delta, fast_gossip(gossip_cfg, delta)
+
+    y_bound = plan.y_consensus_bound()
+
+    def check_consensus(k, t, x, y, delta_half):
+        _, max_delta_err = consensus_errors(x, delta_half)
+        _require("mixed-update consensus", max_delta_err, plan.eps_prime, k, t)
+        max_delta_norm = float(np.linalg.norm(delta_half, axis=1).max())
+        _require("mixed update norm", max_delta_norm, plan.D + plan.eps_prime, k, t)
+        y_err = float(np.linalg.norm(y - y.mean(axis=0, keepdims=True), axis=1).max())
+        _require("iterate consensus", y_err, y_bound, k, t)
+
+    check = check_consensus if plan.consensus_guaranteed else None
+    return _epoch_loop(plan, problem, step, 2 * plan.R, check, sink, metrics_every,
+                       goldstein_cfg, goldstein_every, step_observer)
 
 
 def run_baseline_full_participation(
@@ -318,18 +355,23 @@ def run_baseline_full_participation(
     step_observer: Callable[[StepSnapshot], None] | None = None,
 ) -> EpochOutputs:
     """Full-participation driver: n oracle calls per step, one plain gossip
-    round per mixing point."""
-    return _run_engine(
-        plan,
-        problem,
-        matrix,
-        full_participation=True,
-        sink=sink,
-        metrics_every=metrics_every,
-        goldstein_cfg=goldstein_cfg,
-        goldstein_every=goldstein_every,
-        step_observer=step_observer,
-    )
+    round per mixing point (plan.R is not used)."""
+    _check_compatible(plan, problem, matrix)
+    n = plan.n
+    estimator = _estimator(plan)
+
+    def step(k, t, y, delta_half, w, rng_xi, rng_z, counters):
+        x = y + delta_half
+        y = plain_gossip(matrix, x, 1)
+        delta = np.empty_like(x)
+        for i in range(n):
+            out = estimator(problem, i, w[i], plan.delta_prime, rng_xi, rng_z)
+            counters.charge(out)
+            delta[i] = inner_update(delta_half[i], out.g, plan.eta, plan.D, 1)
+        return None, x, y, delta, plain_gossip(matrix, delta, 1)
+
+    return _epoch_loop(plan, problem, step, 2, None, sink, metrics_every,
+                       goldstein_cfg, goldstein_every, step_observer)
 
 
 def _check_compatible(plan: RunPlan, problem, matrix: MixingMatrix) -> None:
@@ -342,101 +384,62 @@ def _check_compatible(plan: RunPlan, problem, matrix: MixingMatrix) -> None:
         raise PlanError(f"dimensions disagree: plan d = {plan.d}, problem d = {problem.d}")
 
 
-def _run_engine(
+def _estimator(plan: RunPlan):
+    return first_order_estimator if plan.oracle_type == "first" else zeroth_order_estimator
+
+
+def _require(what: str, observed: float, bound: float, k: int, t: int,
+             rtol: float = 1e-9) -> None:
+    if not observed <= bound * (1.0 + rtol):
+        raise InvariantViolation(what, k, t, observed, bound)
+
+
+def _epoch_loop(
     plan: RunPlan,
     problem,
-    matrix: MixingMatrix,
-    *,
-    full_participation: bool,
+    step: Callable,
+    comm_per_step: int,
+    check: Callable | None,
     sink: MetricsSink | None,
     metrics_every: int,
     goldstein_cfg: GoldsteinProbeConfig | None,
     goldstein_every: int,
     step_observer: Callable[[StepSnapshot], None] | None,
 ) -> EpochOutputs:
-    _check_compatible(plan, problem, matrix)
+    """Run K epochs of T steps around a driver's step.
+
+    The loop owns everything the drivers share: the per-step s, xi and z
+    streams, the query points w, the counters, the divergence check, the
+    epoch sums, the observer, the trace records with their probes, and the
+    output-epoch selector. ``step(k, t, y, delta_half, w, rng_xi, rng_z,
+    counters)`` queries the oracles and mixes both stacks; it returns
+    (active client or None, x, mixed y, pre-mix update stack, mixed update
+    stack). ``check(k, t, x, y, delta_half)``, when given, runs after the
+    divergence check.
+    """
     n, d, seed = plan.n, plan.d, plan.seed
-    estimator = first_order_estimator if plan.oracle_type == "first" else zeroth_order_estimator
-    gossip_cfg = GossipConfig.create(matrix, plan.R)
-
-    def mix(z: np.ndarray) -> np.ndarray:
-        if full_participation:
-            return plain_gossip(matrix, z, 1)
-        return fast_gossip(gossip_cfg, z)
-
-    comm_per_step = 2 if full_participation else 2 * plan.R
     y = np.zeros((n, d))
     epoch_sums = np.zeros((plan.K, n, d))
     counters = RunCounters()
     record_index = 0
-    y_bound = plan.y_consensus_bound()
 
     for k in range(1, plan.K + 1):
         delta_half = np.zeros((n, d))
         for t in range(1, plan.T + 1):
-            if full_participation:
-                i_t = None
-            else:
-                i_t = int(stream(seed, "client", k, t).integers(n))
-
             s = stream(seed, "s", k, t).random(n)
-            x = y.copy()
-            if not full_participation:
-                x[i_t] += n * delta_half[i_t]
-            else:
-                x += delta_half
             w = y + s[:, None] * delta_half
-
-            y = mix(x)
-
-            rng_xi = stream(seed, "xi", k, t)
-            rng_z = stream(seed, "z", k, t)
-            delta = np.zeros((n, d))
-            if full_participation:
-                for i in range(n):
-                    out = estimator(problem, i, w[i], plan.delta_prime, rng_xi, rng_z)
-                    delta[i] = inner_update(delta_half[i], out.g, plan.eta, plan.D, 1)
-                    counters.samples_total += out.oracle_calls_charged
-                    counters.function_evals += out.function_evals
-            else:
-                out = estimator(problem, i_t, w[i_t], plan.delta_prime, rng_xi, rng_z)
-                delta[i_t] = inner_update(delta_half[i_t], out.g, plan.eta, plan.D, n)
-                counters.samples_total += out.oracle_calls_charged
-                counters.function_evals += out.function_evals
-                upd_norm = float(np.linalg.norm(delta[i_t]))
-                # non-finite states fall through to the divergence check below
-                assert not np.isfinite(upd_norm) or upd_norm <= n * plan.D * (1.0 + 1e-12), (
-                    "clipped update escaped its n * D bound"
-                )
-                # all other rows are zero, so the stack mean is update / n
-                assert np.array_equal(delta.sum(axis=0), delta[i_t], equal_nan=True)
-
-            delta_pre_mix = delta
-            delta_half = mix(delta)
+            active, x, y, delta_pre_mix, delta_half = step(
+                k, t, y, delta_half, w, stream(seed, "xi", k, t), stream(seed, "z", k, t),
+                counters,
+            )
             counters.computation_rounds += 1
             counters.communication_rounds += comm_per_step
 
             if not np.all(np.isfinite(y)) or not np.all(np.isfinite(delta_half)):
                 bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(delta_half).all(axis=1))
                 raise DivergenceError(k, t, int(np.argmax(bad)))
-
-            if plan.consensus_guaranteed and not full_participation:
-                _, max_delta_err = consensus_errors(x, delta_half)
-                assert max_delta_err <= plan.eps_prime * (1.0 + 1e-9), (
-                    f"mixed-update consensus {max_delta_err} exceeded "
-                    f"tolerance {plan.eps_prime} at ({k}, {t})"
-                )
-                max_delta_norm = float(np.linalg.norm(delta_half, axis=1).max())
-                assert max_delta_norm <= (plan.D + plan.eps_prime) * (1.0 + 1e-9), (
-                    f"mixed update norm {max_delta_norm} exceeded "
-                    f"D + eps_prime at ({k}, {t})"
-                )
-                y_err = float(
-                    np.linalg.norm(y - y.mean(axis=0, keepdims=True), axis=1).max()
-                )
-                assert y_err <= y_bound * (1.0 + 1e-9), (
-                    f"iterate consensus {y_err} exceeded bound {y_bound} at ({k}, {t})"
-                )
+            if check is not None:
+                check(k, t, x, y, delta_half)
 
             epoch_sums[k - 1] += w
 
@@ -445,7 +448,7 @@ def _run_engine(
                     StepSnapshot(
                         k=k,
                         t=t,
-                        active_client=i_t,
+                        active_client=active,
                         x=x,
                         w=w,
                         y=y,
@@ -455,12 +458,12 @@ def _run_engine(
                 )
 
             if sink is not None:
-                step = (k - 1) * plan.T + t
-                if step % metrics_every == 0 or step == plan.steps_total:
+                step_no = (k - 1) * plan.T + t
+                if step_no % metrics_every == 0 or step_no == plan.steps_total:
                     cons_x, cons_delta = consensus_errors(x, delta_half)
                     gold = None
                     if goldstein_cfg is not None and goldstein_every > 0:
-                        if record_index % goldstein_every == 0 or step == plan.steps_total:
+                        if record_index % goldstein_every == 0 or step_no == plan.steps_total:
                             gold = goldstein_probe(
                                 problem, w, goldstein_cfg, stream(seed, "goldstein", k, t)
                             )

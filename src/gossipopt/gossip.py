@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .topology import MixingMatrix
 
 
@@ -65,19 +64,21 @@ def fast_gossip(cfg: GossipConfig, z: np.ndarray) -> np.ndarray:
     copy of the input.
     """
     z = _check_stack(cfg.matrix.n, z)
-    if cfg.rounds == 0:
-        return z.copy()
-    return _kernels.chebyshev_rounds(cfg.matrix.weights, z, cfg.phi, cfg.rounds)
+    P, phi = cfg.matrix.weights, cfg.phi
+    prev, cur = z, z.copy()
+    for _ in range(cfg.rounds):
+        prev, cur = cur, (1.0 + phi) * (P @ cur) - phi * prev
+    return cur
 
 
 def plain_gossip(matrix: MixingMatrix, z: np.ndarray, rounds: int) -> np.ndarray:
     """Repeatedly average with P: z <- P z, ``rounds`` times."""
     if rounds < 0:
         raise GossipError(f"rounds must be >= 0, got {rounds}")
-    z = _check_stack(matrix.n, z)
-    if rounds == 0:
-        return z.copy()
-    return _kernels.plain_rounds(matrix.weights, z, rounds)
+    out = _check_stack(matrix.n, z).copy()
+    for _ in range(rounds):
+        out = matrix.weights @ out
+    return out
 
 
 def contraction_bound(gamma: float, rounds: int) -> float:

@@ -32,6 +32,22 @@ CSV_COLUMNS = (
 _COUNTER_FIELDS = ("samples_total", "computation_rounds", "communication_rounds")
 
 
+class InvariantViolation(AssertionError):
+    """A checked guarantee failed at epoch k, step t.
+
+    Raised explicitly rather than by ``assert``, so the checks also run
+    under ``python -O``; observed is the offending value and bound the
+    limit it had to respect.
+    """
+
+    def __init__(self, what: str, k: int, t: int, observed, bound):
+        super().__init__(f"{what} at ({k}, {t}): observed {observed}, bound {bound}")
+        self.k = k
+        self.t = t
+        self.observed = observed
+        self.bound = bound
+
+
 @dataclass(frozen=True)
 class MetricsRecord:
     """One trace row; goldstein_estimate is None when not probed."""
@@ -74,12 +90,14 @@ class MetricsSink:
 
     def record(self, rec: MetricsRecord) -> None:
         counters = tuple(getattr(rec, f) for f in _COUNTER_FIELDS)
-        if self._last_counters is not None:
-            assert all(
-                new >= old for new, old in zip(counters, self._last_counters)
-            ), f"counters regressed: {self._last_counters} -> {counters}"
+        last = self._last_counters
+        if last is not None and not all(new >= old for new, old in zip(counters, last)):
+            raise InvariantViolation("counters regressed", rec.k, rec.t, counters, last)
         self._last_counters = counters
-        assert np.isfinite(rec.objective), "non-finite objective in metrics record"
+        if not np.isfinite(rec.objective):
+            raise InvariantViolation(
+                "non-finite objective in metrics record", rec.k, rec.t, rec.objective, "finite"
+            )
         if self.keep_in_memory:
             self.records.append(rec)
         if self._fh is not None:
@@ -101,10 +119,6 @@ class MetricsSink:
             self.close()
         except Exception:
             pass
-
-
-def record(sink: MetricsSink, rec: MetricsRecord) -> None:
-    sink.record(rec)
 
 
 def consensus_errors(x: np.ndarray, delta_half: np.ndarray) -> tuple[float, float]:

@@ -27,7 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
 from .rng import ball, sphere, stream
 
 
@@ -220,8 +219,33 @@ def _client_slices(counts: list[int]) -> list[slice]:
     return [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(len(counts))]
 
 
+class _ShardedProblem:
+    """Row bookkeeping shared by the problems: client i owns the contiguous
+    row block slices[i] of the sample arrays."""
+
+    n: int
+    slices: list[slice]
+
+    def shard_size(self, client: int) -> int:
+        s = self.slices[client]
+        return s.stop - s.start
+
+    def _row(self, client: int, j: int) -> int:
+        if not 0 <= client < self.n:
+            raise OracleError(f"client index {client} out of range [0, {self.n})")
+        if not 0 <= j < self.shard_size(client):
+            raise OracleError(
+                f"sample index {j} out of range [0, {self.shard_size(client)}) "
+                f"for client {client}"
+            )
+        return self.slices[client].start + j
+
+    def full_subgradient(self, x: np.ndarray) -> np.ndarray:
+        return self.full_subgradients(x[None, :])[0]
+
+
 @dataclass
-class CappedHingeSvmProblem:
+class CappedHingeSvmProblem(_ShardedProblem):
     """Binary classifier with hinge loss and capped-l1 penalty.
 
     Per-sample loss F(x; (a, b)) = max(1 - b a'x, 0) + lam * sum_j
@@ -285,20 +309,6 @@ class CappedHingeSvmProblem:
             grad_bound_G=grad_bound_G if grad_bound_G is not None else bound,
         )
 
-    def shard_size(self, client: int) -> int:
-        s = self.slices[client]
-        return s.stop - s.start
-
-    def _row(self, client: int, j: int) -> int:
-        if not 0 <= client < self.n:
-            raise OracleError(f"client index {client} out of range [0, {self.n})")
-        if not 0 <= j < self.shard_size(client):
-            raise OracleError(
-                f"sample index {j} out of range [0, {self.shard_size(client)}) "
-                f"for client {client}"
-            )
-        return self.slices[client].start + j
-
     def sample_value(self, client: int, j: int, x: np.ndarray) -> float:
         row = self._row(client, j)
         margin = self.labels[row] * float(self.features[row] @ x)
@@ -319,35 +329,35 @@ class CappedHingeSvmProblem:
         row = self._row(client, j)
         return float(np.linalg.norm(self.features[row])) + self.lam * np.sqrt(self.d)
 
+    # Batched over the rows of the (q, d) probe points X. The hinge is active
+    # at margin <= 1; the penalty subgradient is lam * sign(x_j) strictly
+    # inside the cap |x_j| < alpha and 0 outside.
+
     def full_value(self, x: np.ndarray) -> float:
-        return float(
-            _kernels.svm_full_values(
-                self.features, self.labels, x[None, :], self.lam, self.alpha
-            )[0]
-        )
+        return float(self.full_values(x[None, :])[0])
 
     def full_values(self, X: np.ndarray) -> np.ndarray:
-        return _kernels.svm_full_values(self.features, self.labels, X, self.lam, self.alpha)
-
-    def full_subgradient(self, x: np.ndarray) -> np.ndarray:
-        return self.full_subgradients(x[None, :])[0]
+        margins = (X @ self.features.T) * self.labels[None, :]
+        hinge = np.maximum(1.0 - margins, 0.0).mean(axis=1)
+        pen = self.lam * np.minimum(np.abs(X), self.alpha).sum(axis=1)
+        return hinge + pen
 
     def full_subgradients(self, X: np.ndarray) -> np.ndarray:
-        return _kernels.svm_full_subgradients(
-            self.features, self.labels, X, self.lam, self.alpha
-        )
-
-
-def svm_value(p: CappedHingeSvmProblem, client: int, j: int, x: np.ndarray) -> float:
-    return p.sample_value(client, j, x)
-
-
-def svm_subgradient(p: CappedHingeSvmProblem, client: int, j: int, x: np.ndarray) -> np.ndarray:
-    return p.sample_subgradient(client, j, x)
+        m = self.features.shape[0]
+        out = np.empty_like(X)
+        # chunk the (q, m) activity mask to bound memory
+        step = max(1, int(8_000_000 // max(m, 1)))
+        for lo in range(0, X.shape[0], step):
+            hi = min(lo + step, X.shape[0])
+            margins = (X[lo:hi] @ self.features.T) * self.labels[None, :]
+            active = margins <= 1.0
+            out[lo:hi] = -(active * self.labels[None, :]) @ self.features / m
+        out += self.lam * np.sign(X) * (np.abs(X) < self.alpha)
+        return out
 
 
 @dataclass
-class PiecewiseProblem:
+class PiecewiseProblem(_ShardedProblem):
     """Synthetic nonsmooth per-sample loss |c'x| + max(u'x + p, v'x + q).
 
     The uniform-ball smoothed gradient reduces to 1-D integrals over the
@@ -407,17 +417,6 @@ class PiecewiseProblem:
             grad_bound_G=bound,
         )
 
-    def shard_size(self, client: int) -> int:
-        s = self.slices[client]
-        return s.stop - s.start
-
-    def _row(self, client: int, j: int) -> int:
-        if not 0 <= client < self.n:
-            raise OracleError(f"client index {client} out of range [0, {self.n})")
-        if not 0 <= j < self.shard_size(client):
-            raise OracleError(f"sample index {j} out of range for client {client}")
-        return self.slices[client].start + j
-
     def sample_value(self, client: int, j: int, x: np.ndarray) -> float:
         r = self._row(client, j)
         return abs(float(self.C[r] @ x)) + max(
@@ -447,9 +446,6 @@ class PiecewiseProblem:
         abs_part = np.abs(X @ self.C.T)
         max_part = np.maximum(X @ self.U.T + self.p, X @ self.V.T + self.q)
         return (abs_part + max_part).mean(axis=1)
-
-    def full_subgradient(self, x: np.ndarray) -> np.ndarray:
-        return self.full_subgradients(x[None, :])[0]
 
     def full_subgradients(self, X: np.ndarray) -> np.ndarray:
         m = self.C.shape[0]

@@ -139,11 +139,6 @@ def single_client() -> MixingMatrix:
     return from_weights(np.ones((1, 1)))
 
 
-def spectral_gap(m: MixingMatrix) -> float:
-    """Return the cached spectral gap gamma = 1 - lambda2."""
-    return m.gamma
-
-
 def load_weights_file(path: str) -> MixingMatrix:
     """Read a whitespace-delimited n x n matrix from a text file."""
     try:

@@ -17,7 +17,8 @@ from gossipopt.rng import stream
 def run_reference(plan, problem, observer=None):
     """Returns (epoch_sums (K, d), w_out (d,)); calls observer(k, t, w, y,
     delta_half) with copies each step."""
-    assert plan.n == 1
+    if plan.n != 1:  # a raise, not an assert, so the guard holds under python -O
+        raise ValueError(f"the reference loop is single-client, got n = {plan.n}")
     estimator = first_order_estimator if plan.oracle_type == "first" else zeroth_order_estimator
     d, seed = plan.d, plan.seed
     y = np.zeros(d)

@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gossipopt import _kernels
 from gossipopt.core import (
     PlanOverrides,
     RunPlan,
@@ -52,18 +51,6 @@ def criterion(num: int, name: str, budget_s: float):
     elapsed = time.perf_counter() - t0
     assert elapsed < budget_s, f"criterion {num} exceeded budget: {elapsed:.1f}s > {budget_s}s"
     print(f"criterion {num} ({name}): PASS in {elapsed:.1f}s")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # compile the jit kernels outside any timed region
-    P = np.full((2, 2), 0.5)
-    Z = np.ones((2, 3))
-    _kernels.chebyshev_rounds(P, Z, 0.1, 2)
-    _kernels.plain_rounds(P, Z, 2)
-    A = np.ones((3, 4))
-    _kernels.svm_full_values(A, np.ones(3), np.ones((2, 4)), 1e-3, 2.0)
-    _kernels.svm_full_subgradients(A, np.ones(3), np.ones((2, 4)), 1e-3, 2.0)
 
 
 def test_criterion_1_gossip_contraction():

@@ -209,6 +209,19 @@ def test_dry_run_prints_resolved_plan(tmp_path, capsys):
     assert main(["plan", path]) == 0
 
 
+def test_baseline_reports_the_one_round_it_runs(tmp_path, capsys):
+    text = MINIMAL.replace("method = docs", "method = baseline").replace("R = 2\n", "")
+    path, out = write_config(tmp_path, text)
+    assert main(["plan", path]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "R = 1" in printed
+    assert "consensus_guaranteed = False" in printed  # the planner wants R > 1 on a ring
+    run_experiment(parse_config(path))
+    payload = json.loads((out / "summary.json").read_text())
+    assert [r["R"] for r in payload["runs"]] == [1, 1]
+    assert all(r["communication_rounds"] == 2 * 40 for r in payload["runs"])
+
+
 def test_cli_exit_codes(tmp_path):
     missing = str(tmp_path / "nope.ini")
     assert main(["run", missing]) == 1

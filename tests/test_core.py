@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -354,6 +359,35 @@ def test_divergence_aborts_with_location():
         run_docs(plan, _PoisonProblem(4, 6), build_ring(4, 1))
     assert info.value.k == 1 and info.value.t == 1
     assert 0 <= info.value.client < 4
+
+
+FORGED_GUARANTEE = """
+import sys
+from gossipopt.core import RunPlan, run_docs
+from gossipopt.oracles import PiecewiseProblem
+from gossipopt.topology import build_ring
+
+# one round on a 16-client ring cannot reach eps_prime = 1e-4, yet the plan
+# claims the guarantee, so the per-step consensus check must fire
+plan = RunPlan(delta=0.5, epsilon=0.5, delta_prime=0.25, K=1, T=20, R=1, eta=1e-3,
+               D=1e-2, eps_prime=1e-4, oracle_type="first", seed=11, n=16, d=6,
+               consensus_guaranteed=True)
+problem = PiecewiseProblem.generate(n=16, d=6, samples_per_client=3, seed=5)
+try:
+    run_docs(plan, problem, build_ring(16, 1))
+except AssertionError as exc:  # InvariantViolation subclasses it
+    print(sys.flags.optimize, type(exc).__name__, exc.k, exc.t, exc.observed > exc.bound)
+"""
+
+
+def test_forged_guarantee_raises_in_every_interpreter_mode():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for flags, optimize in (([], "0"), (["-O"], "1")):
+        proc = subprocess.run([sys.executable, *flags, "-c", FORGED_GUARANTEE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [optimize, "InvariantViolation", "1", "1", "True"]
 
 
 def test_plan_problem_matrix_compatibility_checked():

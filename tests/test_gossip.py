@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gossipopt
 from gossipopt.gossip import (
     GossipConfig,
     GossipError,
@@ -111,6 +112,8 @@ def test_determinism_bitwise():
     a = fast_gossip(cfg, z)
     b = fast_gossip(cfg, z)
     assert a.tobytes() == b.tobytes()
+    # bitwise determinism is promised for the single numpy backend
+    assert gossipopt.active_backend() == "numpy"
 
 
 def test_dimension_mismatch_rejected():

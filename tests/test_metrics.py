@@ -8,7 +8,6 @@ from gossipopt.metrics import (
     consensus_errors,
     goldstein_norm_estimate,
     goldstein_probe,
-    record,
 )
 from gossipopt.oracles import PiecewiseProblem
 from gossipopt.rng import stream
@@ -145,8 +144,8 @@ def _rec(step, gold=None):
 def test_sink_writes_header_and_rows(tmp_path):
     path = tmp_path / "trace.csv"
     with MetricsSink(str(path)) as sink:
-        record(sink, _rec(1, gold=0.5))
-        record(sink, _rec(2))
+        sink.record(_rec(1, gold=0.5))
+        sink.record(_rec(2))
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert lines[0] == (

@@ -15,8 +15,6 @@ from gossipopt.oracles import (
     serialize_libsvm,
     shard,
     subsample,
-    svm_subgradient,
-    svm_value,
     write_synthetic_libsvm,
     zeroth_order_estimator,
 )
@@ -58,7 +56,7 @@ def test_svm_value_at_origin_is_one(rng):
     p = make_svm(rng)
     x = np.zeros(p.d)
     for j in range(p.shard_size(0)):
-        assert svm_value(p, 0, j, x) == pytest.approx(1.0, abs=0)
+        assert p.sample_value(0, j, x) == pytest.approx(1.0, abs=0)
 
 
 def test_svm_value_capped_region():
@@ -67,7 +65,7 @@ def test_svm_value_capped_region():
     other = DataSample(indices=np.array([0]), values=np.array([1.0]), label=-1)
     p = CappedHingeSvmProblem.from_shards([[sample], [other]], d, lam=1e-5, alpha=2.0)
     x = (p.alpha + 1.0) * np.ones(d)  # margin = 2 d (alpha + 1) = 30 > 1, cap active
-    assert svm_value(p, 0, 0, x) == pytest.approx(p.lam * d * p.alpha, rel=1e-15)
+    assert p.sample_value(0, 0, x) == pytest.approx(p.lam * d * p.alpha, rel=1e-15)
 
 
 def test_svm_value_matches_high_precision_scalar_reimplementation(rng):
@@ -86,7 +84,7 @@ def test_svm_value_matches_high_precision_scalar_reimplementation(rng):
         val = max(1 - mp.mpf(b) * margin, mp.mpf(0))
         for k in range(8):
             val += mp.mpf(p.lam) * min(abs(mp.mpf(x[k])), mp.mpf(p.alpha))
-        assert svm_value(p, i, j, x) == pytest.approx(float(val), rel=1e-12)
+        assert p.sample_value(i, j, x) == pytest.approx(float(val), rel=1e-12)
 
 
 def test_svm_subgradient_flat_region(rng):
@@ -99,7 +97,7 @@ def test_svm_subgradient_flat_region(rng):
     if b * float(a @ x) <= 1.0:
         x = 10.0 * x
     assert b * float(a @ x) > 1.0
-    assert np.array_equal(svm_subgradient(p, i, j, x), np.zeros(p.d))
+    assert np.array_equal(p.sample_subgradient(i, j, x), np.zeros(p.d))
 
 
 def test_svm_subgradient_at_origin_uses_stated_tie_breaks(rng):
@@ -108,7 +106,7 @@ def test_svm_subgradient_at_origin_uses_stated_tie_breaks(rng):
     for j in range(p.shard_size(1)):
         row = p.slices[1].start + j
         expected = -p.labels[row] * p.features[row]  # sign(0) = 0 kills the penalty
-        assert np.array_equal(svm_subgradient(p, 1, j, x), expected)
+        assert np.array_equal(p.sample_subgradient(1, j, x), expected)
 
 
 def test_svm_subgradient_matches_central_differences(rng):
@@ -127,10 +125,10 @@ def test_svm_subgradient_matches_central_differences(rng):
             continue
         if np.any(np.abs(x) < 1e-3):
             continue
-        g = svm_subgradient(p, i, j, x)
+        g = p.sample_subgradient(i, j, x)
         v = rng.standard_normal(7)
         v /= np.linalg.norm(v)
-        fd = (svm_value(p, i, j, x + h * v) - svm_value(p, i, j, x - h * v)) / (2 * h)
+        fd = (p.sample_value(i, j, x + h * v) - p.sample_value(i, j, x - h * v)) / (2 * h)
         assert fd == pytest.approx(float(g @ v), abs=1e-7)
         checked += 1
 
@@ -139,9 +137,9 @@ def test_svm_index_errors():
     sample = DataSample(indices=np.array([0]), values=np.array([1.0]), label=1)
     p = CappedHingeSvmProblem.from_shards([[sample]], 3, lam=0.1)
     with pytest.raises(OracleError):
-        svm_value(p, 1, 0, np.zeros(3))
+        p.sample_value(1, 0, np.zeros(3))
     with pytest.raises(OracleError):
-        svm_subgradient(p, 0, 5, np.zeros(3))
+        p.sample_subgradient(0, 5, np.zeros(3))
 
 
 def test_shards_must_be_balanced_and_nonempty():
@@ -278,7 +276,7 @@ def test_first_order_mu_zero_equals_subgradient_of_drawn_sample(rng):
     rng_z = stream(77, "z", 1, 1)
     out = first_order_estimator(p, 0, w, 0.0, rng_xi, rng_z)
     j = int(stream(77, "xi", 1, 1).integers(p.shard_size(0)))
-    assert np.array_equal(out.g, svm_subgradient(p, 0, j, w))
+    assert np.array_equal(out.g, p.sample_subgradient(0, j, w))
     assert out.oracle_calls_charged == 1 and out.function_evals == 0
 
 

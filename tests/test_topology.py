@@ -8,7 +8,6 @@ from gossipopt.topology import (
     from_weights,
     load_weights_file,
     single_client,
-    spectral_gap,
 )
 
 
@@ -39,7 +38,7 @@ def test_complete_graph_properties():
         m = build_complete(n)
         assert np.allclose(m.weights, 1.0 / n)
         assert m.lambda2 == pytest.approx(0.0, abs=1e-12)
-        assert spectral_gap(m) == 1.0
+        assert m.gamma == 1.0
     # averaging identity: P v has all coordinates equal to mean(v)
     m = build_complete(6)
     v = np.random.default_rng(0).standard_normal(6)
