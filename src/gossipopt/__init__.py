@@ -3,6 +3,12 @@ optimization with client sampling and accelerated gossip."""
 
 __version__ = "0.1.0"
 
+# Bumped whenever the RNG layout or the floating-point reduction order
+# changes, so traces are reproducible only within one (config, seed,
+# TRACE_FORMAT). 1: every release before accelerated gossip became one
+# product with a precomputed operator; 2: that operator.
+TRACE_FORMAT = 2
+
 from .core import (
     DivergenceError,
     EpochOutputs,
@@ -50,6 +56,7 @@ def active_backend() -> str:
 
 __all__ = [
     "__version__",
+    "TRACE_FORMAT",
     "active_backend",
     "DivergenceError",
     "EpochOutputs",

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import TRACE_FORMAT, __version__
 from .core import (
     PlanError,
     PlanOverrides,
@@ -438,6 +438,7 @@ class RunSummary:
     def to_json(self) -> str:
         payload = {
             "version": self.version,
+            "trace_format": TRACE_FORMAT,
             "config_hash": self.config_hash,
             "method": self.method,
             "oracle": self.oracle,

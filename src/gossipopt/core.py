@@ -321,11 +321,6 @@ def run_docs(
         # non-finite states fall through to the divergence check
         if np.isfinite(upd_norm):
             _require("clipped update norm", upd_norm, n * plan.D, k, t, rtol=1e-12)
-        # all other rows are zero, so the stack mean is update / n
-        stack_sum = delta.sum(axis=0)
-        if not np.array_equal(stack_sum, delta[i], equal_nan=True):
-            gap = float(np.abs(stack_sum - delta[i]).max())
-            raise InvariantViolation("update stack sum off the active row", k, t, gap, 0.0)
         return i, x, y, delta, fast_gossip(gossip_cfg, delta)
 
     y_bound = plan.y_consensus_bound()

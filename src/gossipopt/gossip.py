@@ -2,8 +2,11 @@
 
 Two flavors: plain gossip (repeated averaging with P) and the accelerated
 two-term momentum recursion, which contracts the consensus error at the
-square-root-of-gamma rate. ``plan_rounds`` converts a target consensus
-tolerance into the number of accelerated rounds that guarantees it.
+square-root-of-gamma rate. The recursion is linear with fixed (P, phi, R),
+so R accelerated rounds equal one product with an n x n polynomial of P
+that ``GossipConfig`` builds once. ``plan_rounds`` converts a target
+consensus tolerance into the number of accelerated rounds that guarantees
+it.
 
 Client vectors are stacked as an (n, d) float64 array, one row per client.
 """
@@ -11,7 +14,7 @@ Client vectors are stacked as an (n, d) float64 array, one row per client.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,11 +37,26 @@ def momentum_coefficient(lambda2: float) -> float:
 
 @dataclass(frozen=True)
 class GossipConfig:
-    """Mixing matrix plus round count; phi is derived from lambda2."""
+    """Mixing matrix plus round count; phi is derived from lambda2.
+
+    ``operator`` is the read-only (n, n) matrix M_R with
+    fast_gossip(cfg, z) = M_R @ z, built in construction by running the
+    recursion on the identity.
+    """
 
     matrix: MixingMatrix
     rounds: int
     phi: float
+    operator: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        P, phi = self.matrix.weights, self.phi
+        prev = np.eye(self.matrix.n)
+        cur = prev.copy()
+        for _ in range(self.rounds):
+            prev, cur = cur, (1.0 + phi) * (P @ cur) - phi * prev
+        cur.setflags(write=False)
+        object.__setattr__(self, "operator", cur)
 
     @classmethod
     def create(cls, matrix: MixingMatrix, rounds: int) -> "GossipConfig":
@@ -57,18 +75,14 @@ def _check_stack(n: int, z: np.ndarray) -> np.ndarray:
 
 
 def fast_gossip(cfg: GossipConfig, z: np.ndarray) -> np.ndarray:
-    """Run the accelerated recursion for cfg.rounds rounds.
+    """Apply cfg.rounds rounds of the accelerated recursion
+    z^(r+1) = (1 + phi) P z^(r) - phi z^(r-1), with z^(-1) = z^(0),
+    as one product with the precomputed cfg.operator.
 
-    z^(r+1) = (1 + phi) P z^(r) - phi z^(r-1), with z^(-1) = z^(0).
     Preserves the per-coordinate client mean; with rounds = 0 returns a
     copy of the input.
     """
-    z = _check_stack(cfg.matrix.n, z)
-    P, phi = cfg.matrix.weights, cfg.phi
-    prev, cur = z, z.copy()
-    for _ in range(cfg.rounds):
-        prev, cur = cur, (1.0 + phi) * (P @ cur) - phi * prev
-    return cur
+    return cfg.operator @ _check_stack(cfg.matrix.n, z)
 
 
 def plain_gossip(matrix: MixingMatrix, z: np.ndarray, rounds: int) -> np.ndarray:

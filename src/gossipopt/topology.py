@@ -41,6 +41,16 @@ class MixingMatrix:
     def __post_init__(self) -> None:
         self.weights.setflags(write=False)
 
+    # the spectral fields follow from the weights, so the bytes of the
+    # (read-only) weights are the identity of a matrix
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MixingMatrix):
+            return NotImplemented
+        return self.weights.tobytes() == other.weights.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.weights.tobytes())
+
 
 def _second_largest_eigenvalue(weights: np.ndarray) -> tuple[float, np.ndarray]:
     eigs = np.linalg.eigvalsh(weights)  # ascending

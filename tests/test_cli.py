@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gossipopt
 from gossipopt.cli import (
     ConfigError,
     build_topology,
@@ -121,6 +122,14 @@ def test_run_experiment_two_seeds(tmp_path):
     assert agg["mean"] == pytest.approx(np.mean(finals))
     assert agg["min"] == min(finals) and agg["max"] == max(finals)
     assert summary.runs[0].samples_total == 40  # K * T steps, one call each
+
+
+def test_summary_declares_trace_format(tmp_path):
+    path, out = write_config(tmp_path)
+    run_experiment(parse_config(path))
+    payload = json.loads((out / "summary.json").read_text())
+    assert payload["version"] == gossipopt.__version__
+    assert payload["trace_format"] == gossipopt.TRACE_FORMAT == 2
 
 
 def test_same_seed_produces_byte_identical_trace(tmp_path):

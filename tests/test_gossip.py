@@ -13,7 +13,17 @@ from gossipopt.gossip import (
     plain_gossip,
     plan_rounds,
 )
-from gossipopt.topology import build_complete, build_ring
+from gossipopt.topology import build_complete, build_ring, single_client
+
+
+def recursion_reference(matrix, rounds, z):
+    """The accelerated recursion run round by round, independent of the
+    precomputed operator: z^(r+1) = (1 + phi) P z^(r) - phi z^(r-1)."""
+    P, phi = matrix.weights, momentum_coefficient(matrix.lambda2)
+    prev, cur = z, z.copy()
+    for _ in range(rounds):
+        prev, cur = cur, (1.0 + phi) * (P @ cur) - phi * prev
+    return cur
 
 
 def test_momentum_coefficient_formula():
@@ -111,6 +121,39 @@ def test_determinism_bitwise():
     a = fast_gossip(cfg, z)
     b = fast_gossip(cfg, z)
     assert a.tobytes() == b.tobytes()
+
+
+def test_operator_matches_recursion():
+    rng = np.random.default_rng(10)
+    for m in (build_ring(16, 1), build_ring(16, 3), build_complete(5)):
+        for r in (1, 2, 7, 75, 222):
+            z = rng.standard_normal((m.n, 9)) * 10
+            gap = np.abs(fast_gossip(GossipConfig.create(m, r), z) - recursion_reference(m, r, z))
+            assert gap.max() <= 1e-12 * np.abs(z).max()
+
+
+def test_operator_is_read_only():
+    cfg = GossipConfig.create(build_ring(8, 1), 3)
+    assert not cfg.operator.flags.writeable
+    with pytest.raises(ValueError):
+        cfg.operator[0, 0] = 1.0
+
+
+def test_single_client_mix_is_bitwise_identity():
+    # the n = 1 equivalence with the single-machine loop relies on this
+    m = single_client()
+    z = np.random.default_rng(11).standard_normal((1, 7))
+    for r in (0, 1, 2, 7, 75, 222):
+        assert fast_gossip(GossipConfig.create(m, r), z).tobytes() == z.tobytes()
+
+
+def test_configs_from_equal_arguments_are_equal_and_hash():
+    a = GossipConfig.create(build_ring(16, 1), 7)
+    b = GossipConfig.create(build_ring(16, 1), 7)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != GossipConfig.create(build_ring(16, 1), 8)
+    assert a != GossipConfig.create(build_ring(16, 2), 7)
 
 
 def test_dimension_mismatch_rejected():
