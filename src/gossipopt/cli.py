@@ -1,10 +1,13 @@
 """Experiment runner: config parsing, seed sweeps, traces, and summaries.
 
 Configs are sectioned key/value text (INI syntax, case-sensitive keys) with
-four sections: [problem], [topology], [algorithm], [run]. eta and D accept
-comma-separated lists; the runner expands their cross product as a tuning
-grid. All randomness flows from [run] seeds; the same config and seed
-reproduce a byte-identical trace.
+four sections: [problem], [topology], [algorithm], [run]. Each key is a
+field of its section's dataclass (ProblemConfig, TopologyConfig,
+AlgorithmConfig, RunSection) and is parsed by that field's type; keys that
+take fixed words list them in _CHOICES. eta and D accept comma-separated
+lists; the runner expands their cross product as a tuning grid. All
+randomness flows from [run] seeds; the same config and seed reproduce a
+byte-identical trace.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -17,13 +20,14 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import TRACE_FORMAT, __version__
 from .core import (
+    ORACLE_TYPES,
     PlanError,
     PlanOverrides,
     RunPlan,
@@ -121,91 +125,53 @@ class ExperimentConfig:
     run: RunSection
 
 
-_SCHEMA: dict[str, dict[str, str]] = {
-    "problem": {
-        "kind": "choice:capped_l1_svm,synthetic_piecewise",
-        "dataset": "str",
-        "d": "int",
-        "lam": "float",
-        "alpha": "float",
-        "subsample": "int",
-        "data_seed": "int",
-        "samples_per_client": "int",
-        "gen_seed": "int",
-        "lipschitz": "float",
-        "grad_bound": "float",
-    },
-    "topology": {
-        "kind": "choice:ring,complete,file",
-        "n": "int",
-        "neighbors_per_side": "int",
-        "path": "str",
-    },
-    "algorithm": {
-        "method": "choice:docs,baseline",
-        "oracle": "choice:first,zeroth",
-        "delta": "float",
-        "epsilon": "float",
-        "delta_prime": "float",
-        "eta": "floats",
-        "D": "floats",
-        "R": "int",
-        "K": "int",
-        "T": "int",
-        "eps_prime": "float",
-        "sigma": "float",
-        "c0": "float",
-        "nu": "float",
-        "per_client_selector": "bool",
-    },
-    "run": {
-        "seeds": "ints",
-        "metrics_every": "int",
-        "goldstein_every": "int",
-        "goldstein_samples": "int",
-        "goldstein_final_samples": "int",
-        "probe_policy": f"choice:{','.join(PROBE_POLICIES)}",
-        "out_dir": "str",
-    },
+_SECTIONS = {
+    "problem": ProblemConfig,
+    "topology": TopologyConfig,
+    "algorithm": AlgorithmConfig,
+    "run": RunSection,
+}
+
+# keys that take one of a fixed set of words; every other key is parsed by
+# the type annotation of its dataclass field
+_CHOICES: dict[str, tuple[str, ...]] = {
+    "problem.kind": ("capped_l1_svm", "synthetic_piecewise"),
+    "topology.kind": ("ring", "complete", "file"),
+    "algorithm.method": ("docs", "baseline"),
+    "algorithm.oracle": ORACLE_TYPES,
+    "run.probe_policy": PROBE_POLICIES,
 }
 
 _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
-def _convert(keypath: str, spec: str, raw: str):
+def _parse_list(item):
+    return lambda raw: tuple(item(tok) for tok in raw.split(",") if tok.strip())
+
+
+# field annotation (without "| None") -> (parser, what the error says was expected)
+_PARSERS = {
+    "str": (str, ""),
+    "int": (int, "integer"),
+    "float": (float, "number"),
+    "bool": (lambda raw: _BOOL_VALUES[raw.lower()], "boolean"),
+    "tuple[float, ...]": (_parse_list(float), "comma-separated numbers"),
+    "tuple[int, ...]": (_parse_list(int), "comma-separated integers"),
+}
+
+
+def _convert(keypath: str, annotation: str, raw: str):
     raw = raw.strip()
-    if spec == "str":
-        return raw
-    if spec == "int":
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{keypath}: expected integer, got {raw!r}") from None
-    if spec == "float":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{keypath}: expected number, got {raw!r}") from None
-    if spec == "bool":
-        if raw.lower() not in _BOOL_VALUES:
-            raise ConfigError(f"{keypath}: expected boolean, got {raw!r}")
-        return _BOOL_VALUES[raw.lower()]
-    if spec == "floats":
-        try:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(f"{keypath}: expected comma-separated numbers, got {raw!r}") from None
-    if spec == "ints":
-        try:
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(f"{keypath}: expected comma-separated integers, got {raw!r}") from None
-    if spec.startswith("choice:"):
-        choices = spec[len("choice:"):].split(",")
+    choices = _CHOICES.get(keypath)
+    if choices is not None:
         if raw not in choices:
-            raise ConfigError(f"{keypath}: expected one of {choices}, got {raw!r}")
+            raise ConfigError(f"{keypath}: expected one of {list(choices)}, got {raw!r}")
         return raw
-    raise AssertionError(spec)
+    parse, expected = _PARSERS[annotation.removesuffix(" | None")]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{keypath}: expected {expected}, got {raw!r}") from None
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -222,24 +188,19 @@ def parse_config(path: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
-    values: dict[str, dict[str, object]] = {}
+    values: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        values[section] = {}
+        annotations = {f.name: f.type for f in fields(_SECTIONS[section])}
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in annotations:
                 raise ConfigError(f"unknown key {section}.{key}")
             if raw.strip() == "":
                 continue
-            values[section][key] = _convert(f"{section}.{key}", _SCHEMA[section][key], raw)
+            values[section][key] = _convert(f"{section}.{key}", annotations[key], raw)
 
-    cfg = ExperimentConfig(
-        problem=ProblemConfig(**values.get("problem", {})),
-        topology=TopologyConfig(**values.get("topology", {})),
-        algorithm=AlgorithmConfig(**values.get("algorithm", {})),
-        run=RunSection(**values.get("run", {})),
-    )
+    cfg = ExperimentConfig(**{name: cls(**values[name]) for name, cls in _SECTIONS.items()})
     _validate(cfg)
     return cfg
 
@@ -248,6 +209,12 @@ def _validate(cfg: ExperimentConfig) -> None:
     p, topo, alg, run = cfg.problem, cfg.topology, cfg.algorithm, cfg.run
     if p.d < 1:
         raise ConfigError("problem.d: must be >= 1")
+    if p.lam is not None and p.lam <= 0:
+        raise ConfigError("problem.lam: must be > 0")
+    if p.alpha <= 0:
+        raise ConfigError("problem.alpha: must be > 0")
+    if p.subsample is not None and p.subsample < 1:
+        raise ConfigError("problem.subsample: must be >= 1")
     if p.kind == "capped_l1_svm" and not p.dataset:
         raise ConfigError("problem.dataset: required for kind capped_l1_svm")
     if p.kind == "synthetic_piecewise" and p.samples_per_client < 1:
@@ -282,6 +249,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("run.seeds: at least one seed is required")
     if run.metrics_every < 1:
         raise ConfigError("run.metrics_every: must be >= 1")
+    if run.goldstein_every < 0:
+        raise ConfigError("run.goldstein_every: must be >= 0")
+    if run.goldstein_samples < 1:
+        raise ConfigError("run.goldstein_samples: must be >= 1")
+    if run.goldstein_final_samples < 1:
+        raise ConfigError("run.goldstein_final_samples: must be >= 1")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -294,14 +267,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         return str(v)
 
     lines = []
-    for section, sub in (
-        ("problem", cfg.problem),
-        ("topology", cfg.topology),
-        ("algorithm", cfg.algorithm),
-        ("run", cfg.run),
-    ):
+    for section in _SECTIONS:
         lines.append(f"[{section}]")
-        for key, value in asdict(sub).items():
+        for key, value in asdict(getattr(cfg, section)).items():
             if value is not None:
                 lines.append(f"{key} = {fmt(value)}")
         lines.append("")
@@ -310,12 +278,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """Hash of the semantically meaningful fields (output dir excluded)."""
-    payload = {
-        "problem": asdict(cfg.problem),
-        "topology": asdict(cfg.topology),
-        "algorithm": asdict(cfg.algorithm),
-        "run": {k: v for k, v in asdict(cfg.run).items() if k != "out_dir"},
-    }
+    payload = {section: asdict(getattr(cfg, section)) for section in _SECTIONS}
+    del payload["run"]["out_dir"]
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -324,18 +288,18 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def build_topology(cfg: TopologyConfig) -> MixingMatrix:
+    if cfg.kind == "file":
+        matrix = load_weights_file(cfg.path)
+        if matrix.n != cfg.n:
+            raise ConfigError(
+                f"topology.n: declared {cfg.n} clients but {cfg.path} holds {matrix.n}"
+            )
+        return matrix
     if cfg.n == 1:
         return single_client()
     if cfg.kind == "ring":
         return build_ring(cfg.n, cfg.neighbors_per_side)
-    if cfg.kind == "complete":
-        return build_complete(cfg.n)
-    matrix = load_weights_file(cfg.path)
-    if matrix.n != cfg.n:
-        raise ConfigError(
-            f"topology.n: declared {cfg.n} clients but {cfg.path} holds {matrix.n}"
-        )
-    return matrix
+    return build_complete(cfg.n)
 
 
 def load_dataset(cfg: ProblemConfig):

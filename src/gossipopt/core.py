@@ -271,19 +271,14 @@ class EpochOutputs:
     """Per-epoch averaged query points and the selected outputs.
 
     epoch_sums holds the raw per-epoch sums of w (shape (K, n, d)); the
-    averages are epoch_sums / T. selected_epochs holds one 0-based epoch
+    averages are epoch_sums / plan.T. selected_epochs holds one 0-based epoch
     index per client (all equal unless per-client selection was requested).
     """
 
     epoch_sums: np.ndarray
-    T: int
     selected_epochs: np.ndarray
     w_out: np.ndarray
     counters: RunCounters
-
-    @property
-    def epoch_averages(self) -> np.ndarray:
-        return self.epoch_sums / self.T
 
 
 def run_docs(
@@ -486,7 +481,6 @@ def _epoch_loop(
     w_out = np.stack([epoch_sums[selected[i], i] / plan.T for i in range(n)])
     return EpochOutputs(
         epoch_sums=epoch_sums,
-        T=plan.T,
         selected_epochs=selected,
         w_out=w_out,
         counters=counters,

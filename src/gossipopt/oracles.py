@@ -21,7 +21,7 @@ active branch, tied max pieces take the first piece.
 
 from __future__ import annotations
 
-import re
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -60,14 +60,8 @@ class DataSample:
             and np.array_equal(self.values, other.values)
         )
 
-    def dense(self, d: int) -> np.ndarray:
-        out = np.zeros(d)
-        out[self.indices] = self.values
-        return out
-
 
 _LABEL_MAP = {"+1": 1, "1": 1, "-1": -1, "0": -1}
-_FEATURE_RE = re.compile(r"^(\d+):([^\s:]+)$")
 
 
 def load_libsvm(path: str, d_hint: int) -> list[DataSample]:
@@ -78,78 +72,78 @@ def load_libsvm(path: str, d_hint: int) -> list[DataSample]:
     {-1,+1}. Malformed lines raise LibsvmParseError with their 1-based
     line number and column.
     """
-    samples = []
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            samples.append(_parse_line(line.rstrip("\n"), lineno, d_hint))
-    return samples
+        return _parse_lines(fh, d_hint)
 
 
 def parse_libsvm_lines(text: str, d_hint: int) -> list[DataSample]:
-    samples = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            samples.append(_parse_line(line, lineno, d_hint))
-    return samples
+    return _parse_lines(text.splitlines(), d_hint)
+
+
+def _parse_lines(lines, d_hint: int) -> list[DataSample]:
+    # lines may be an open file, read one line at a time so that the whole
+    # text is never held in memory; blank lines are skipped but counted
+    return [
+        _parse_line(line, lineno, d_hint)
+        for lineno, line in enumerate(lines, start=1)
+        if line.strip()
+    ]
 
 
 def _parse_line(line: str, lineno: int, d_hint: int) -> DataSample:
     tokens = line.split()
-    cursor = 0
-
-    def column_of(token: str) -> int:
-        return line.index(token, cursor) + 1
-
-    label_tok = tokens[0]
-    if label_tok not in _LABEL_MAP:
-        raise LibsvmParseError(
-            f"label {label_tok!r} not in -1/+1 (or 0/1) convention",
-            lineno,
-            column_of(label_tok),
+    label = _LABEL_MAP.get(tokens[0])
+    if label is None:
+        raise _parse_error(
+            f"label {tokens[0]!r} not in -1/+1 (or 0/1) convention", line, lineno, 0
         )
-    label = _LABEL_MAP[label_tok]
-    cursor = line.index(label_tok) + len(label_tok)
-
     indices: list[int] = []
     values: list[float] = []
     prev = -1
-    for tok in tokens[1:]:
-        col = column_of(tok)
-        m = _FEATURE_RE.match(tok)
-        if m is None:
-            raise LibsvmParseError(f"malformed feature token {tok!r}", lineno, col)
-        idx = int(m.group(1)) - 1
+    for k in range(1, len(tokens)):
+        tok = tokens[k]
+        # a feature is idx:val with idx decimal digits and val free of ':'
+        head, _, tail = tok.partition(":")
+        if not (head.isdecimal() and tail) or ":" in tail:
+            raise _parse_error(f"malformed feature token {tok!r}", line, lineno, k)
+        idx = int(head) - 1
         if idx < 0:
-            raise LibsvmParseError("feature index must be >= 1", lineno, col)
+            raise _parse_error("feature index must be >= 1", line, lineno, k)
         if idx >= d_hint:
-            raise LibsvmParseError(
-                f"feature index {idx + 1} exceeds dimension {d_hint}", lineno, col
+            raise _parse_error(
+                f"feature index {idx + 1} exceeds dimension {d_hint}", line, lineno, k
             )
         if idx <= prev:
-            raise LibsvmParseError(
-                f"feature index {idx + 1} not strictly increasing", lineno, col
+            raise _parse_error(
+                f"feature index {idx + 1} not strictly increasing", line, lineno, k
             )
         try:
-            val = float(m.group(2))
+            val = float(tail)
         except ValueError:
-            raise LibsvmParseError(
-                f"feature value {m.group(2)!r} is not a number", lineno, col
+            raise _parse_error(
+                f"feature value {tail!r} is not a number", line, lineno, k
             ) from None
-        if not np.isfinite(val):
-            raise LibsvmParseError("feature value must be finite", lineno, col)
+        if not math.isfinite(val):
+            raise _parse_error("feature value must be finite", line, lineno, k)
         prev = idx
         indices.append(idx)
         values.append(val)
-        cursor = line.index(tok, cursor) + len(tok)
 
     return DataSample(
         indices=np.array(indices, dtype=np.int64),
         values=np.array(values, dtype=np.float64),
         label=label,
     )
+
+
+def _parse_error(message: str, line: str, lineno: int, k: int) -> LibsvmParseError:
+    """The error for the k-th whitespace-separated token of line, with its
+    1-based column; worked out only when a line is rejected."""
+    tokens = line.split()
+    start = 0
+    for tok in tokens[:k]:
+        start = line.index(tok, start) + len(tok)
+    return LibsvmParseError(message, lineno, line.index(tokens[k], start) + 1)
 
 
 def _format_value(v: float) -> str:
@@ -239,9 +233,6 @@ class _ShardedProblem:
                 f"for client {client}"
             )
         return self.slices[client].start + j
-
-    def full_subgradient(self, x: np.ndarray) -> np.ndarray:
-        return self.full_subgradients(x[None, :])[0]
 
 
 @dataclass

@@ -64,13 +64,72 @@ def test_parse_minimal_config_fills_defaults(tmp_path):
     assert cfg.run.probe_policy == "all_clients"
 
 
+# every key of every section, each set away from its default
+EVERY_FIELD = """\
+[problem]
+kind = synthetic_piecewise
+dataset = data/set.libsvm
+d = 12
+lam = 0.001
+alpha = 1.5
+subsample = 300
+data_seed = 4
+samples_per_client = 6
+gen_seed = 9
+lipschitz = 3.5
+grad_bound = 2.5
+
+[topology]
+kind = file
+n = 5
+neighbors_per_side = 2
+path = weights.txt
+
+[algorithm]
+method = baseline
+oracle = zeroth
+delta = 0.25
+epsilon = 0.75
+delta_prime = 0.1
+eta = 0.001, 0.002
+D = 0.5, 0.25
+R = 3
+K = 4
+T = 50
+eps_prime = 0.05
+sigma = 0.2
+c0 = 2.0
+nu = 0.5
+per_client_selector = yes
+
+[run]
+seeds = 3, 1, 2
+metrics_every = 7
+goldstein_every = 2
+goldstein_samples = 16
+goldstein_final_samples = 128
+probe_policy = client_0
+out_dir = {out}
+"""
+
+
 def test_config_round_trip(tmp_path):
-    path, _ = write_config(tmp_path)
-    cfg = parse_config(path)
-    text = serialize_config(cfg)
-    path2 = tmp_path / "roundtrip.ini"
-    path2.write_text(text)
-    assert parse_config(str(path2)) == cfg
+    for name, text in (("minimal", MINIMAL), ("every_field", EVERY_FIELD)):
+        path, _ = write_config(tmp_path, text, name=f"{name}.ini")
+        cfg = parse_config(path)
+        path2 = tmp_path / f"{name}_roundtrip.ini"
+        path2.write_text(serialize_config(cfg))
+        assert parse_config(str(path2)) == cfg, name
+
+
+def test_readme_example_config_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(example)
+    cfg = parse_config(str(path))
+    assert cfg.algorithm.eta == (0.001, 0.005, 0.01)
+    assert cfg.run.seeds == (1, 2, 3)
 
 
 def test_unknown_keys_and_sections_rejected(tmp_path):
@@ -82,11 +141,58 @@ def test_unknown_keys_and_sections_rejected(tmp_path):
         parse_config(path2)
 
 
+# (text replaced in MINIMAL, its replacement, the exact ConfigError text)
+TYPE_ERRORS = [
+    ("T = 20", "T = twenty", "algorithm.T: expected integer, got 'twenty'"),
+    ("delta = 0.5", "delta = half", "algorithm.delta: expected number, got 'half'"),
+    ("R = 2", "R = 2\nper_client_selector = maybe",
+     "algorithm.per_client_selector: expected boolean, got 'maybe'"),
+    ("eta = 0.002", "eta = 0.002, x",
+     "algorithm.eta: expected comma-separated numbers, got '0.002, x'"),
+    ("seeds = 1, 2", "seeds = 1, 2.5",
+     "run.seeds: expected comma-separated integers, got '1, 2.5'"),
+    ("kind = synthetic_piecewise", "kind = lasso",
+     "problem.kind: expected one of ['capped_l1_svm', 'synthetic_piecewise'], got 'lasso'"),
+    ("kind = ring", "kind = star",
+     "topology.kind: expected one of ['ring', 'complete', 'file'], got 'star'"),
+    ("method = docs", "method = magic",
+     "algorithm.method: expected one of ['docs', 'baseline'], got 'magic'"),
+    ("oracle = first", "oracle = second",
+     "algorithm.oracle: expected one of ['first', 'zeroth'], got 'second'"),
+    ("metrics_every = 5", "metrics_every = 5\nprobe_policy = worst",
+     "run.probe_policy: expected one of ['mean_of_clients', 'client_0', 'all_clients'], "
+     "got 'worst'"),
+]
+
+
 def test_type_errors_name_the_key(tmp_path):
-    bad = MINIMAL.replace("T = 20", "T = twenty")
-    path, _ = write_config(tmp_path, bad)
-    with pytest.raises(ConfigError, match="algorithm.T"):
+    for old, new, message in TYPE_ERRORS:
+        path, _ = write_config(tmp_path, MINIMAL.replace(old, new, 1))
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("run.goldstein_final_samples", "0"),
+        ("run.goldstein_samples", "0"),
+        ("run.goldstein_every", "-1"),
+        ("problem.subsample", "0"),
+        ("problem.subsample", "-5"),
+        ("problem.lam", "0"),
+        ("problem.alpha", "-1"),
+    ],
+)
+def test_bad_probe_and_data_values_rejected_before_any_run(tmp_path, key, value):
+    section, name = key.split(".")
+    anchor = {"problem": "gen_seed = 5", "run": "metrics_every = 5"}[section]
+    path, out = write_config(tmp_path, MINIMAL.replace(anchor, f"{anchor}\n{name} = {value}"))
+    with pytest.raises(ConfigError, match=f"^{key}: must be "):
         parse_config(path)
+    assert main(["run", path]) == 1
+    assert not out.exists()
 
 
 def test_eps_prime_at_least_diameter_rejected(tmp_path):
@@ -298,6 +404,15 @@ def test_file_topology_config(tmp_path):
     cfg = parse_config(path)
     m = build_topology(cfg.topology)
     assert m.n == 4 and m.gamma == pytest.approx(0.5, abs=1e-12)
+    # a single-client file config still reads and checks its weights file
+    three = tmp_path / "three.txt"
+    np.savetxt(three, build_ring(3, 1).weights)
+    for weights in (three, tmp_path / "missing.txt"):
+        single = MINIMAL.replace(
+            "kind = ring\nn = 4\nneighbors_per_side = 1", f"kind = file\nn = 1\npath = {weights}"
+        )
+        path, _ = write_config(tmp_path, single, name="single.ini")
+        assert main(["plan", path]) == 1
 
 
 def test_connectivity_sweep_gammas_increase(tmp_path):

@@ -163,7 +163,6 @@ def test_parse_basic_line():
 def test_parse_label_only_line_is_all_zero_sample():
     (s,) = parse_libsvm_lines("-1", d_hint=4)
     assert s.label == -1 and len(s.indices) == 0
-    assert np.array_equal(s.dense(4), np.zeros(4))
 
 
 def test_parse_zero_one_label_convention():
@@ -171,25 +170,37 @@ def test_parse_zero_one_label_convention():
     assert a.label == -1 and b.label == 1
 
 
+# (line, 1-based column of the rejected token, message fragment)
+REJECTIONS = [
+    ("+2 1:1.0", 1, "label"),
+    ("abc", 1, "label"),
+    ("+1 0:1.0", 4, "index must be >= 1"),
+    ("+1 9:1.0", 4, "exceeds dimension"),
+    ("+1 2:1.0 2:3.0", 10, "strictly increasing"),
+    ("+1 3:1.0 2:3.0", 10, "strictly increasing"),
+    ("+1 2:xyz", 4, "not a number"),
+    ("+1 2:nan", 4, "finite"),
+    ("+1 2-3", 4, "malformed feature"),
+    ("+1 :4", 4, "malformed feature"),
+    ("+1 1:1:2", 4, "malformed feature"),
+    ("+1 1:", 4, "malformed feature"),
+    ("1 +1:3", 3, "malformed feature"),
+    ("+1 1:1e400", 4, "finite"),
+    ("  +1   2:1.0   2:1.0", 16, "strictly increasing"),
+    ("\t-1\t3:x", 5, "not a number"),
+]
+
+
+# each id reads <line>-<line number>-<fragment>; every case is on line 1
 @pytest.mark.parametrize(
-    "line,err_line,fragment",
-    [
-        ("+2 1:1.0", 1, "label"),
-        ("abc", 1, "label"),
-        ("+1 0:1.0", 1, "index must be >= 1"),
-        ("+1 9:1.0", 1, "exceeds dimension"),
-        ("+1 2:1.0 2:3.0", 1, "strictly increasing"),
-        ("+1 3:1.0 2:3.0", 1, "strictly increasing"),
-        ("+1 2:xyz", 1, "not a number"),
-        ("+1 2:nan", 1, "finite"),
-        ("+1 2-3", 1, "malformed feature"),
-        ("+1 :4", 1, "malformed feature"),
-    ],
+    "line,column,fragment",
+    [pytest.param(*case, id=f"{case[0]}-1-{case[2]}") for case in REJECTIONS],
 )
-def test_parse_rejections(line, err_line, fragment):
+def test_parse_rejections(line, column, fragment):
     with pytest.raises(LibsvmParseError, match=fragment) as info:
         parse_libsvm_lines(line, d_hint=5)
-    assert info.value.line == err_line
+    assert info.value.line == 1
+    assert info.value.column == column
 
 
 def test_parse_error_reports_correct_line_number():
@@ -213,6 +224,15 @@ def test_round_trip_fixpoint(tmp_path, rng):
     assert parsed == samples
     text2 = serialize_libsvm(parsed)
     assert text2 == text1
+
+
+def test_crlf_file_parses_like_its_text(tmp_path):
+    text = "+1 1:0.5 3:2\r\n\r\n-1\r\n0 2:1e-3\r\n"
+    path = tmp_path / "crlf.libsvm"
+    path.write_bytes(text.encode("ascii"))
+    data = load_libsvm(str(path), 3)
+    assert len(data) == 3
+    assert data == parse_libsvm_lines(text, 3)
 
 
 def test_synthetic_dataset_round_trips(tmp_path):
