@@ -20,7 +20,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -444,25 +444,22 @@ def run_experiment(cfg: ExperimentConfig, dry_run: bool = False) -> RunSummary:
     matrix = build_topology(cfg.topology)
     grid = _grid(cfg.algorithm)
     driver = run_docs if cfg.algorithm.method == "docs" else run_baseline_full_participation
-    try:
-        dataset = load_dataset(cfg.problem)
-    except Exception as exc:
-        # the whole sweep shares one dataset; report every seed as failed
-        for seed in cfg.run.seeds:
-            summary.runs.append(
-                RunResult(seed=seed, eta=0.0, D=0.0, R=0, K=0, T=0, eps_prime=0.0,
-                          error=f"{type(exc).__name__}: {exc}")
-            )
-        summary.aggregate = _aggregate(summary.runs)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "summary.json").write_text(summary.to_json() + "\n", encoding="ascii")
-        raise RuntimeError(f"dataset load failed: {exc}") from exc
+    # the whole sweep shares one dataset; a load failure ends it before
+    # anything is written
+    dataset = load_dataset(cfg.problem)
+    if dataset is not None and len(dataset) < cfg.topology.n:
+        key = "problem.subsample" if cfg.problem.subsample is not None else "problem.dataset"
+        raise ConfigError(
+            f"{key}: {len(dataset)} samples cannot be sharded across "
+            f"topology.n = {cfg.topology.n} clients"
+        )
 
     if dry_run:
+        seed = cfg.run.seeds[0]
+        problem = build_problem(cfg.problem, cfg.topology.n, seed, dataset)
         for eta, diameter in grid:
-            problem = build_problem(cfg.problem, cfg.topology.n, cfg.run.seeds[0], dataset)
-            plan = resolve_plan(cfg, matrix, problem, cfg.run.seeds[0], eta, diameter)
-            print(_format_plan(plan, cfg.algorithm.method))
+            print(_format_plan(resolve_plan(cfg, matrix, problem, seed, eta, diameter),
+                               cfg.algorithm.method))
         return summary
 
     last_error: Exception | None = None
@@ -485,6 +482,7 @@ def run_experiment(cfg: ExperimentConfig, dry_run: bool = False) -> RunSummary:
                 num_smoothing_samples=cfg.run.goldstein_samples,
                 probe_point_policy=cfg.run.probe_policy,
             )
+            final_probe = replace(probe_cfg, num_smoothing_samples=cfg.run.goldstein_final_samples)
             try:
                 with MetricsSink(str(trace_path), keep_in_memory=False) as sink:
                     outputs = driver(
@@ -496,21 +494,16 @@ def run_experiment(cfg: ExperimentConfig, dry_run: bool = False) -> RunSummary:
                         goldstein_cfg=probe_cfg if cfg.run.goldstein_every > 0 else None,
                         goldstein_every=cfg.run.goldstein_every,
                     )
+                result.final_goldstein = float(
+                    _final_goldstein(problem, outputs.w_out, final_probe, seed)
+                )
+                result.final_objective = float(problem.full_value(outputs.w_out.mean(axis=0)))
             except Exception as exc:  # recorded per seed; sweep continues
                 result.error = f"{type(exc).__name__}: {exc}"
                 last_error = exc
                 summary.runs.append(result)
                 print(f"seed {seed} failed: {result.error}", file=sys.stderr)
                 continue
-            final_probe = GoldsteinProbeConfig(
-                radius=plan.delta,
-                num_smoothing_samples=cfg.run.goldstein_final_samples,
-                probe_point_policy=cfg.run.probe_policy,
-            )
-            result.final_goldstein = float(
-                _final_goldstein(problem, outputs.w_out, final_probe, seed)
-            )
-            result.final_objective = float(problem.full_value(outputs.w_out.mean(axis=0)))
             result.samples_total = outputs.counters.samples_total
             result.computation_rounds = outputs.counters.computation_rounds
             result.communication_rounds = outputs.counters.communication_rounds

@@ -268,14 +268,13 @@ class StepSnapshot:
 
 @dataclass(frozen=True)
 class EpochOutputs:
-    """Per-epoch averaged query points and the selected outputs.
+    """The selected output epochs and the averaged query points there.
 
-    epoch_sums holds the raw per-epoch sums of w (shape (K, n, d)); the
-    averages are epoch_sums / plan.T. selected_epochs holds one 0-based epoch
-    index per client (all equal unless per-client selection was requested).
+    selected_epochs holds one 0-based epoch index per client (all equal
+    unless per-client selection was requested); row i of w_out is client
+    i's average query point w over its selected epoch.
     """
 
-    epoch_sums: np.ndarray
     selected_epochs: np.ndarray
     w_out: np.ndarray
     counters: RunCounters
@@ -301,7 +300,7 @@ def run_docs(
     _check_compatible(plan, problem, matrix)
     n, seed = plan.n, plan.seed
     estimator = _estimator(plan)
-    gossip_cfg = GossipConfig.create(matrix, plan.R)
+    gossip_cfg = GossipConfig(matrix, plan.R)
 
     def step(k, t, y, delta_half, w, rng_xi, rng_z, counters):
         i = int(stream(seed, "client", k, t).integers(n))
@@ -398,22 +397,32 @@ def _epoch_loop(
 ) -> EpochOutputs:
     """Run K epochs of T steps around a driver's step.
 
-    The loop owns everything the drivers share: the per-step s, xi and z
-    streams, the query points w, the counters, the divergence check, the
-    epoch sums, the observer, the trace records with their probes, and the
-    output-epoch selector. ``step(k, t, y, delta_half, w, rng_xi, rng_z,
-    counters)`` queries the oracles and mixes both stacks; it returns
-    (active client or None, x, mixed y, pre-mix update stack, mixed update
-    stack). ``check(k, t, x, y, delta_half)``, when given, runs after the
-    divergence check.
+    The loop owns everything the drivers share: the output-epoch selector,
+    the per-step s, xi and z streams, the query points w, the counters, the
+    divergence check, the sum of w over the selected epoch, the observer and
+    the trace records with their probes. ``step(k, t, y, delta_half, w,
+    rng_xi, rng_z, counters)`` queries the oracles and mixes both stacks; it
+    returns (active client or None, x, mixed y, pre-mix update stack, mixed
+    update stack). ``check(k, t, x, y, delta_half)``, when given, runs after
+    the divergence check.
     """
     n, d, seed = plan.n, plan.d, plan.seed
+    # the selector has its own stream, so the output epochs are drawn first
+    # and w is summed only over them
+    if plan.per_client_selector:
+        selected = np.array(
+            [int(stream(seed, "selector", i).integers(plan.K)) for i in range(n)]
+        )
+    else:
+        selected = np.full(n, int(stream(seed, "selector").integers(plan.K)))
     y = np.zeros((n, d))
-    epoch_sums = np.zeros((plan.K, n, d))
+    w_sum = np.zeros((n, d))
     counters = RunCounters()
     record_index = 0
 
     for k in range(1, plan.K + 1):
+        picked = (selected == k - 1)[:, None]
+        summing = bool(picked.any())
         delta_half = np.zeros((n, d))
         for t in range(1, plan.T + 1):
             s = stream(seed, "s", k, t).random(n)
@@ -431,7 +440,8 @@ def _epoch_loop(
             if check is not None:
                 check(k, t, x, y, delta_half)
 
-            epoch_sums[k - 1] += w
+            if summing:
+                np.add(w_sum, w, out=w_sum, where=picked)
 
             if step_observer is not None:
                 step_observer(
@@ -472,16 +482,4 @@ def _epoch_loop(
                     )
                     record_index += 1
 
-    if plan.per_client_selector:
-        selected = np.array(
-            [int(stream(seed, "selector", i).integers(plan.K)) for i in range(n)]
-        )
-    else:
-        selected = np.full(n, int(stream(seed, "selector").integers(plan.K)))
-    w_out = np.stack([epoch_sums[selected[i], i] / plan.T for i in range(n)])
-    return EpochOutputs(
-        epoch_sums=epoch_sums,
-        selected_epochs=selected,
-        w_out=w_out,
-        counters=counters,
-    )
+    return EpochOutputs(selected_epochs=selected, w_out=w_sum / plan.T, counters=counters)

@@ -46,23 +46,20 @@ class GossipConfig:
 
     matrix: MixingMatrix
     rounds: int
-    phi: float
+    phi: float = field(init=False)
     operator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        P, phi = self.matrix.weights, self.phi
+        if self.rounds < 0:
+            raise GossipError(f"rounds must be >= 0, got {self.rounds}")
+        P, phi = self.matrix.weights, momentum_coefficient(self.matrix.lambda2)
+        object.__setattr__(self, "phi", phi)
         prev = np.eye(self.matrix.n)
         cur = prev.copy()
         for _ in range(self.rounds):
             prev, cur = cur, (1.0 + phi) * (P @ cur) - phi * prev
         cur.setflags(write=False)
         object.__setattr__(self, "operator", cur)
-
-    @classmethod
-    def create(cls, matrix: MixingMatrix, rounds: int) -> "GossipConfig":
-        if rounds < 0:
-            raise GossipError(f"rounds must be >= 0, got {rounds}")
-        return cls(matrix=matrix, rounds=rounds, phi=momentum_coefficient(matrix.lambda2))
 
 
 def _check_stack(n: int, z: np.ndarray) -> np.ndarray:

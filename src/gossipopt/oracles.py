@@ -21,6 +21,7 @@ active branch, tied max pieces take the first piece.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -77,7 +78,8 @@ def load_libsvm(path: str, d_hint: int) -> list[DataSample]:
 
 
 def parse_libsvm_lines(text: str, d_hint: int) -> list[DataSample]:
-    return _parse_lines(text.splitlines(), d_hint)
+    # split at line ends only, as iterating the file does
+    return _parse_lines(io.StringIO(text, newline=None), d_hint)
 
 
 def _parse_lines(lines, d_hint: int) -> list[DataSample]:
@@ -340,9 +342,13 @@ class CappedHingeSvmProblem(_ShardedProblem):
         step = max(1, int(8_000_000 // max(m, 1)))
         for lo in range(0, X.shape[0], step):
             hi = min(lo + step, X.shape[0])
-            margins = (X[lo:hi] @ self.features.T) * self.labels[None, :]
-            active = margins <= 1.0
-            out[lo:hi] = -(active * self.labels[None, :]) @ self.features / m
+            # margins, then the hinge coefficients, in one (chunk, m) buffer
+            coef = X[lo:hi] @ self.features.T
+            coef *= self.labels
+            active = coef <= 1.0
+            np.multiply(active, self.labels, out=coef)
+            np.negative(coef, out=coef)
+            out[lo:hi] = coef @ self.features / m
         out += self.lam * np.sign(X) * (np.abs(X) < self.alpha)
         return out
 

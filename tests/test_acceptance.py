@@ -58,7 +58,7 @@ def test_criterion_1_gossip_contraction():
         matrix = build_ring(16, 1)
         rng = np.random.default_rng(1001)
         for rounds in (1, 2, 4, 8):
-            cfg = GossipConfig.create(matrix, rounds)
+            cfg = GossipConfig(matrix, rounds)
             bound = contraction_bound(matrix.gamma, rounds)
             for _ in range(100):
                 z = rng.standard_normal((16, 8))

@@ -195,6 +195,70 @@ def test_bad_probe_and_data_values_rejected_before_any_run(tmp_path, key, value)
     assert not out.exists()
 
 
+SVM_CONFIG = """\
+[problem]
+kind = capped_l1_svm
+dataset = {data}
+d = 3
+
+[topology]
+kind = ring
+n = 4
+
+[algorithm]
+method = docs
+oracle = first
+delta = 0.5
+epsilon = 0.5
+K = 1
+T = 5
+R = 2
+eta = 0.005
+D = 0.01
+
+[run]
+seeds = 1
+out_dir = {out}
+"""
+
+
+@pytest.mark.parametrize(
+    "extra,key", [("subsample = 3", "problem.subsample"), ("", "problem.dataset")]
+)
+def test_too_few_samples_for_the_clients_rejected_before_any_run(tmp_path, extra, key):
+    data = tmp_path / "small.libsvm"
+    rows = "+1 1:1\n-1 2:1\n+1 3:1\n"
+    data.write_text(rows * 2 if extra else rows)  # three samples remain either way
+    text = SVM_CONFIG.replace("{data}", str(data)).replace("d = 3", f"d = 3\n{extra}")
+    path, out = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=f"^{key}: 3 samples cannot be sharded across "
+                                          "topology.n = 4 clients$"):
+        run_experiment(parse_config(path))
+    for command in ("run", "plan"):
+        assert main([command, path]) == 1
+    assert not out.exists()
+
+
+def test_failed_final_probe_is_recorded_per_seed(tmp_path, monkeypatch):
+    import gossipopt.cli as cli
+
+    probe = cli._final_goldstein
+
+    def fail_for_seed_1(problem, w_out, cfg, seed):
+        if seed == 1:
+            raise FloatingPointError("probe failed")
+        return probe(problem, w_out, cfg, seed)
+
+    monkeypatch.setattr(cli, "_final_goldstein", fail_for_seed_1)
+    path, out = write_config(tmp_path)
+    summary = run_experiment(parse_config(path))
+    failed, ok = summary.runs
+    assert failed.error == "FloatingPointError: probe failed"
+    assert ok.error is None and ok.final_goldstein is not None
+    payload = json.loads((out / "summary.json").read_text())
+    assert payload["aggregate"]["completed"] == 1 and payload["aggregate"]["failed"] == 1
+
+
 def test_eps_prime_at_least_diameter_rejected(tmp_path):
     bad = MINIMAL.replace("D = 0.01", "D = 0.01\neps_prime = 0.02")
     path, _ = write_config(tmp_path, bad)
@@ -369,6 +433,8 @@ out_dir = {out}
     cfg_path = tmp_path / "vanish.ini"
     cfg_path.write_text(cfg_text)
     assert main(["run", str(cfg_path)]) == 2
+    assert main(["plan", str(cfg_path)]) == 2
+    assert not (tmp_path / "o2").exists()  # no summary is made up for the failed load
 
 
 def test_validate_topology_subcommand(tmp_path, capsys):

@@ -230,14 +230,18 @@ def test_single_machine_equivalence_short():
     matrix = single_client()
     plan = small_plan(n=1, d=5, K=3, T=40, R=3, eta=5e-3, D=5e-2, eps_prime=5e-3)
 
-    traces = {}
+    traces, outputs = {}, {}
     for name, driver in (("docs", run_docs), ("baseline", run_baseline_full_participation)):
         rows = []
-        driver(plan, problem, matrix,
-               step_observer=lambda s: rows.append((s.w.copy(), s.y.copy(), s.delta_half.copy())))
+        outputs[name] = driver(
+            plan, problem, matrix,
+            step_observer=lambda s: rows.append((s.w.copy(), s.y.copy(), s.delta_half.copy())),
+        )
         traces[name] = rows
     ref_rows = []
-    run_reference(plan, problem, observer=lambda k, t, w, y, dh: ref_rows.append((w, y, dh)))
+    _, ref_w_out = run_reference(
+        plan, problem, observer=lambda k, t, w, y, dh: ref_rows.append((w, y, dh))
+    )
 
     assert len(traces["docs"]) == len(ref_rows) == plan.K * plan.T
     for name in ("docs", "baseline"):
@@ -245,27 +249,27 @@ def test_single_machine_equivalence_short():
             assert np.array_equal(w1[0], w2)
             assert np.array_equal(y1[0], y2)
             assert np.array_equal(d1[0], d2)
+        assert np.array_equal(outputs[name].w_out[0], ref_w_out)
 
 
 def test_epoch_accumulator_identity_bitwise():
+    """w_out is the selected epoch's sum of the observed w over T, bit for
+    bit, with the shared and with the per-client selector."""
     problem = _toy_problem()
     matrix = build_ring(4, 1)
-    plan = small_plan()
-    sums = np.zeros((plan.K, plan.n, plan.d))
+    for per_client in (False, True):
+        plan = small_plan(K=8, T=5, per_client_selector=per_client)
+        for driver in (run_docs, run_baseline_full_participation):
+            sums = np.zeros((plan.K, plan.n, plan.d))
 
-    def observer(s):
-        sums[s.k - 1] += s.w
+            def observer(s):
+                sums[s.k - 1] += s.w
 
-    out = run_docs(plan, problem, matrix, step_observer=observer)
-    assert np.array_equal(out.epoch_sums, sums)
-
-
-def test_w_out_comes_from_shared_selected_epoch():
-    problem = _toy_problem()
-    out = run_docs(small_plan(), problem, build_ring(4, 1))
-    assert len(set(out.selected_epochs.tolist())) == 1
-    k = out.selected_epochs[0]
-    assert np.array_equal(out.w_out, out.epoch_sums[k] / 25)
+            out = driver(plan, problem, matrix, step_observer=observer)
+            selected = out.selected_epochs
+            assert np.array_equal(out.w_out, sums[selected, np.arange(plan.n)] / plan.T)
+            # one epoch for every client unless per-client selection is set
+            assert (len(set(selected.tolist())) == 1) != per_client
 
 
 def test_per_client_selector_mode():
@@ -278,10 +282,16 @@ def test_per_client_selector_mode():
 def test_full_reproducibility_bitwise():
     problem = _toy_problem()
     matrix = build_ring(4, 1)
-    a = run_docs(small_plan(), problem, matrix)
-    b = run_docs(small_plan(), problem, matrix)
+
+    def run():
+        ws = []
+        out = run_docs(small_plan(), problem, matrix, step_observer=lambda s: ws.append(s.w.copy()))
+        return out, ws
+
+    (a, ws_a), (b, ws_b) = run(), run()
     assert np.array_equal(a.w_out, b.w_out)
-    assert np.array_equal(a.epoch_sums, b.epoch_sums)
+    assert len(ws_a) == len(ws_b) == small_plan().steps_total
+    assert all(np.array_equal(wa, wb) for wa, wb in zip(ws_a, ws_b))
     assert a.selected_epochs.tolist() == b.selected_epochs.tolist()
 
 

@@ -35,14 +35,22 @@ def test_momentum_coefficient_formula():
 
 def test_config_phi_consistent_with_matrix():
     m = build_ring(16, 1)
-    cfg = GossipConfig.create(m, 4)
+    cfg = GossipConfig(m, 4)
     assert abs(cfg.phi - momentum_coefficient(m.lambda2)) <= 1e-12
+
+
+def test_config_rejects_negative_rounds_and_given_phi():
+    m = build_ring(5, 1)
+    with pytest.raises(GossipError, match="rounds must be >= 0, got -1"):
+        GossipConfig(m, -1)
+    with pytest.raises(TypeError):
+        GossipConfig(m, 1, 0.0)
 
 
 def test_zero_rounds_is_identity():
     m = build_ring(8, 1)
     z = np.random.default_rng(1).standard_normal((8, 5))
-    assert np.array_equal(fast_gossip(GossipConfig.create(m, 0), z), z)
+    assert np.array_equal(fast_gossip(GossipConfig(m, 0), z), z)
     assert np.array_equal(plain_gossip(m, z, 0), z)
 
 
@@ -51,7 +59,7 @@ def test_consensus_is_fixed_point():
     v = np.random.default_rng(2).standard_normal(5)
     z = np.tile(v, (8, 1))
     for r in (1, 3, 7):
-        out = fast_gossip(GossipConfig.create(m, r), z)
+        out = fast_gossip(GossipConfig(m, r), z)
         assert np.allclose(out, z, atol=1e-12)
 
 
@@ -68,7 +76,7 @@ def test_mean_preservation_both_flavors():
     for r in (1, 2, 5, 9):
         z = rng.standard_normal((16, 7)) * 10
         mean0 = z.mean(axis=0)
-        for out in (fast_gossip(GossipConfig.create(m, r), z), plain_gossip(m, z, r)):
+        for out in (fast_gossip(GossipConfig(m, r), z), plain_gossip(m, z, r)):
             drift = np.abs(out.mean(axis=0) - mean0)
             assert drift.max() <= 1e-10 * max(1.0, np.abs(mean0).max())
 
@@ -78,7 +86,7 @@ def test_contraction_bound_holds_on_seeded_inputs():
     rng = np.random.default_rng(5)
     for r in (1, 2, 4, 8):
         bound = contraction_bound(m.gamma, r)
-        cfg = GossipConfig.create(m, r)
+        cfg = GossipConfig(m, r)
         for _ in range(25):
             z = rng.standard_normal((16, 6))
             before = consensus_sq_error(z)
@@ -104,7 +112,7 @@ def test_fast_beats_plain_majority_on_poorly_connected_ring():
     m = build_ring(16, 1)
     rng = np.random.default_rng(7)
     for rounds in (3, 4, 8):
-        cfg = GossipConfig.create(m, rounds)
+        cfg = GossipConfig(m, rounds)
         wins = 0
         for _ in range(100):
             z = rng.standard_normal((16, 5))
@@ -117,7 +125,7 @@ def test_fast_beats_plain_majority_on_poorly_connected_ring():
 def test_determinism_bitwise():
     m = build_ring(16, 2)
     z = np.random.default_rng(8).standard_normal((16, 9))
-    cfg = GossipConfig.create(m, 6)
+    cfg = GossipConfig(m, 6)
     a = fast_gossip(cfg, z)
     b = fast_gossip(cfg, z)
     assert a.tobytes() == b.tobytes()
@@ -128,12 +136,12 @@ def test_operator_matches_recursion():
     for m in (build_ring(16, 1), build_ring(16, 3), build_complete(5)):
         for r in (1, 2, 7, 75, 222):
             z = rng.standard_normal((m.n, 9)) * 10
-            gap = np.abs(fast_gossip(GossipConfig.create(m, r), z) - recursion_reference(m, r, z))
+            gap = np.abs(fast_gossip(GossipConfig(m, r), z) - recursion_reference(m, r, z))
             assert gap.max() <= 1e-12 * np.abs(z).max()
 
 
 def test_operator_is_read_only():
-    cfg = GossipConfig.create(build_ring(8, 1), 3)
+    cfg = GossipConfig(build_ring(8, 1), 3)
     assert not cfg.operator.flags.writeable
     with pytest.raises(ValueError):
         cfg.operator[0, 0] = 1.0
@@ -144,22 +152,22 @@ def test_single_client_mix_is_bitwise_identity():
     m = single_client()
     z = np.random.default_rng(11).standard_normal((1, 7))
     for r in (0, 1, 2, 7, 75, 222):
-        assert fast_gossip(GossipConfig.create(m, r), z).tobytes() == z.tobytes()
+        assert fast_gossip(GossipConfig(m, r), z).tobytes() == z.tobytes()
 
 
 def test_configs_from_equal_arguments_are_equal_and_hash():
-    a = GossipConfig.create(build_ring(16, 1), 7)
-    b = GossipConfig.create(build_ring(16, 1), 7)
+    a = GossipConfig(build_ring(16, 1), 7)
+    b = GossipConfig(build_ring(16, 1), 7)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
-    assert a != GossipConfig.create(build_ring(16, 1), 8)
-    assert a != GossipConfig.create(build_ring(16, 2), 7)
+    assert a != GossipConfig(build_ring(16, 1), 8)
+    assert a != GossipConfig(build_ring(16, 2), 7)
 
 
 def test_dimension_mismatch_rejected():
     m = build_ring(8, 1)
     with pytest.raises(GossipError, match="shape"):
-        fast_gossip(GossipConfig.create(m, 1), np.zeros((7, 3)))
+        fast_gossip(GossipConfig(m, 1), np.zeros((7, 3)))
     with pytest.raises(GossipError, match="shape"):
         plain_gossip(m, np.zeros(8), 1)
 
@@ -217,7 +225,7 @@ def test_planned_rounds_reach_tolerance_from_worst_case_spread():
         v *= n * diameter / np.linalg.norm(v)
         z = np.zeros((16, 8))
         z[int(rng.integers(16))] = v
-        out = fast_gossip(GossipConfig.create(m, r), z)
+        out = fast_gossip(GossipConfig(m, r), z)
         dev = np.linalg.norm(out - out.mean(axis=0, keepdims=True), axis=1).max()
         assert dev <= tol
 

@@ -133,6 +133,27 @@ def test_svm_subgradient_matches_central_differences(rng):
         checked += 1
 
 
+def test_svm_full_subgradients_average_the_sample_subgradients(rng):
+    d, alpha = 6, 0.5
+    tied = DataSample(indices=np.array([0, 2]), values=np.array([2.0, 0.5]), label=-1)
+    dense = [
+        DataSample(indices=np.arange(d), values=rng.standard_normal(d), label=label)
+        for label in (1, -1, 1)
+    ]
+    p = CappedHingeSvmProblem.from_shards([[tied, dense[0]], dense[1:]], d, lam=1e-2, alpha=alpha)
+    edge = np.zeros(d)
+    edge[0] = -0.5  # the tied sample's margin is exactly 1: the hinge is active
+    edge[1] = alpha  # on the cap the penalty is flat
+    edge[3] = -alpha
+    assert p.labels[0] * float(p.features[0] @ edge) == 1.0
+    X = np.vstack([edge, np.zeros(d), rng.standard_normal((5, d))])
+    m = p.features.shape[0]
+    for x, g in zip(X, p.full_subgradients(X)):
+        rows = [p.sample_subgradient(i, j, x) for i in range(p.n) for j in range(p.shard_size(i))]
+        assert len(rows) == m
+        assert np.allclose(g, np.mean(rows, axis=0), rtol=0, atol=1e-15)
+
+
 def test_svm_index_errors():
     sample = DataSample(indices=np.array([0]), values=np.array([1.0]), label=1)
     p = CappedHingeSvmProblem.from_shards([[sample]], 3, lam=0.1)
@@ -233,6 +254,30 @@ def test_crlf_file_parses_like_its_text(tmp_path):
     data = load_libsvm(str(path), 3)
     assert len(data) == 3
     assert data == parse_libsvm_lines(text, 3)
+
+    # only line ends split lines: \x0b, \x0c and \x1c, which str.splitlines()
+    # also breaks at, stay inside the line in a file and in text alike
+    def parse(read):
+        try:
+            return read()
+        except LibsvmParseError as exc:
+            return str(exc), exc.line, exc.column
+
+    # (text, samples parsed, or the (message, line, column) of its rejection)
+    odd = [
+        ("+1 1:0.5\r-1 2:1\r\r0\r", 3),
+        ("+1 1:1\x0b 2:1\n", 1),
+        ("-1 1:1\x1c2:1\n+1\n", 2),
+        ("0\x0c 1:1 1:2\n",
+         ("line 1, column 8: feature index 1 not strictly increasing", 1, 8)),
+        ("+1 1:1\r\n-1 3:1\r\x0c-1 2:x\n",
+         ("line 3, column 5: feature value 'x' is not a number", 3, 5)),
+    ]
+    for text, want in odd:
+        path.write_bytes(text.encode("ascii"))
+        from_file = parse(lambda: load_libsvm(str(path), 3))
+        assert from_file == parse(lambda: parse_libsvm_lines(text, 3)), text
+        assert (len(from_file) if isinstance(want, int) else from_file) == want, text
 
 
 def test_synthetic_dataset_round_trips(tmp_path):
