@@ -272,6 +272,20 @@ def test_epoch_accumulator_identity_bitwise():
             assert (len(set(selected.tolist())) == 1) != per_client
 
 
+def test_w_out_comes_from_shared_selected_epoch():
+    problem = _toy_problem()
+    plan = small_plan()
+    sums = np.zeros((plan.K, plan.n, plan.d))
+
+    def observer(s):
+        sums[s.k - 1] += s.w
+
+    out = run_docs(plan, problem, build_ring(4, 1), step_observer=observer)
+    assert len(set(out.selected_epochs.tolist())) == 1
+    k = out.selected_epochs[0]
+    assert np.array_equal(out.w_out, sums[k] / 25)
+
+
 def test_per_client_selector_mode():
     problem = _toy_problem()
     out = run_docs(small_plan(K=8, T=5, per_client_selector=True), problem, build_ring(4, 1))
