@@ -6,8 +6,10 @@ __version__ = "0.1.0"
 # Bumped whenever the RNG layout or the floating-point reduction order
 # changes, so traces are reproducible only within one (config, seed,
 # TRACE_FORMAT). 1: every release before accelerated gossip became one
-# product with a precomputed operator; 2: that operator.
-TRACE_FORMAT = 2
+# product with a precomputed operator; 2: that operator; 3: one s, client,
+# xi and z generator per epoch, consumed in step order, in place of one
+# per step.
+TRACE_FORMAT = 3
 
 from .core import (
     DivergenceError,

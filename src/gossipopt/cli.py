@@ -463,13 +463,18 @@ def run_experiment(cfg: ExperimentConfig, dry_run: bool = False) -> RunSummary:
         return summary
 
     last_error: Exception | None = None
+    # a problem depends on its seed alone, so each seed's is built once and
+    # shared by every grid cell
+    problems: dict = {}
     for eta, diameter in grid:
         cell_dir = out_dir
         if len(grid) > 1:
             cell_dir = out_dir / f"eta{eta if eta is not None else 'auto'}_D{diameter if diameter is not None else 'auto'}"
         cell_dir.mkdir(parents=True, exist_ok=True)
         for seed in cfg.run.seeds:
-            problem = build_problem(cfg.problem, cfg.topology.n, seed, dataset)
+            if seed not in problems:
+                problems[seed] = build_problem(cfg.problem, cfg.topology.n, seed, dataset)
+            problem = problems[seed]
             plan = resolve_plan(cfg, matrix, problem, seed, eta, diameter)
             result = RunResult(
                 seed=seed, eta=plan.eta, D=plan.D, R=plan.R, K=plan.K,

@@ -12,8 +12,9 @@ Two drivers share one epoch loop and differ only in their step:
   communication rounds per step).
 
 Randomness is organized in decoupled per-purpose streams derived from the
-plan seed (see rng module); the full trajectory is a deterministic
-function of (seed, plan, problem, matrix).
+plan seed (see rng module), one generator per (purpose, epoch) consumed in
+step order; the full trajectory is a deterministic function of (seed, plan,
+problem, matrix).
 """
 
 from __future__ import annotations
@@ -298,12 +299,12 @@ def run_docs(
     breach.
     """
     _check_compatible(plan, problem, matrix)
-    n, seed = plan.n, plan.seed
+    n = plan.n
     estimator = _estimator(plan)
     gossip_cfg = GossipConfig(matrix, plan.R)
 
-    def step(k, t, y, delta_half, w, rng_xi, rng_z, counters):
-        i = int(stream(seed, "client", k, t).integers(n))
+    def step(k, t, y, delta_half, w, rng_client, rng_xi, rng_z, counters):
+        i = int(rng_client.integers(n))
         x = y.copy()
         x[i] += n * delta_half[i]
         y = fast_gossip(gossip_cfg, x)
@@ -349,7 +350,7 @@ def run_baseline_full_participation(
     n = plan.n
     estimator = _estimator(plan)
 
-    def step(k, t, y, delta_half, w, rng_xi, rng_z, counters):
+    def step(k, t, y, delta_half, w, rng_client, rng_xi, rng_z, counters):
         x = y + delta_half
         y = plain_gossip(matrix, x, 1)
         delta = np.empty_like(x)
@@ -398,13 +399,15 @@ def _epoch_loop(
     """Run K epochs of T steps around a driver's step.
 
     The loop owns everything the drivers share: the output-epoch selector,
-    the per-step s, xi and z streams, the query points w, the counters, the
+    the epoch's s, client, xi and z streams (built once per epoch and
+    consumed in step order), the query points w, the counters, the
     divergence check, the sum of w over the selected epoch, the observer and
     the trace records with their probes. ``step(k, t, y, delta_half, w,
-    rng_xi, rng_z, counters)`` queries the oracles and mixes both stacks; it
-    returns (active client or None, x, mixed y, pre-mix update stack, mixed
-    update stack). ``check(k, t, x, y, delta_half)``, when given, runs after
-    the divergence check.
+    rng_client, rng_xi, rng_z, counters)`` draws its active client, if it
+    has one, from rng_client, queries the oracles with rng_xi and rng_z in
+    client order and mixes both stacks; it returns (active client or None,
+    x, mixed y, pre-mix update stack, mixed update stack). ``check(k, t, x,
+    y, delta_half)``, when given, runs after the divergence check.
     """
     n, d, seed = plan.n, plan.d, plan.seed
     # the selector has its own stream, so the output epochs are drawn first
@@ -424,12 +427,14 @@ def _epoch_loop(
         picked = (selected == k - 1)[:, None]
         summing = bool(picked.any())
         delta_half = np.zeros((n, d))
+        rng_s, rng_client, rng_xi, rng_z = (
+            stream(seed, purpose, k) for purpose in ("s", "client", "xi", "z")
+        )
         for t in range(1, plan.T + 1):
-            s = stream(seed, "s", k, t).random(n)
+            s = rng_s.random(n)
             w = y + s[:, None] * delta_half
             active, x, y, delta_pre_mix, delta_half = step(
-                k, t, y, delta_half, w, stream(seed, "xi", k, t), stream(seed, "z", k, t),
-                counters,
+                k, t, y, delta_half, w, rng_client, rng_xi, rng_z, counters
             )
             counters.computation_rounds += 1
             counters.communication_rounds += comm_per_step

@@ -5,8 +5,9 @@ Two problem families share one interface:
 * capped-l1 hinge SVM: per-sample loss max(1 - b a'x, 0) plus the capped
   penalty lam * sum_j min(|x_j|, alpha), nonsmooth and nonconvex.
 * synthetic piecewise: per-sample |c'x| + max(u'x + p, v'x + q), whose
-  uniform-ball smoothing has a closed 1-D integral form, giving an
-  estimator-independent reference for smoothed gradients.
+  uniform-ball smoothing reduces to 1-D integrals; the tests evaluate those
+  by quadrature as an estimator-independent reference for smoothed
+  gradients.
 
 Estimators draw one local sample plus one perturbation direction per call:
 the first-order estimator returns a subgradient at a ball-perturbed point,
@@ -24,7 +25,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -358,8 +358,8 @@ class PiecewiseProblem(_ShardedProblem):
     """Synthetic nonsmooth per-sample loss |c'x| + max(u'x + p, v'x + q).
 
     The uniform-ball smoothed gradient reduces to 1-D integrals over the
-    marginal of one ball coordinate, so smoothed gradients are computable
-    to near machine precision without touching any estimator code.
+    marginal of one ball coordinate, so the tests can compute it to near
+    machine precision without touching any estimator code.
     """
 
     d: int
@@ -452,74 +452,6 @@ class PiecewiseProblem(_ShardedProblem):
         out += first @ self.U
         out += (~first) @ self.V
         return out / m
-
-    # smoothed gradient of the client-i average via 1-D marginal integrals
-    def smoothed_gradient(self, client: int, w: np.ndarray, mu: float, nodes: int = 96) -> np.ndarray:
-        """Gradient of the uniform-ball smoothing of f_client at w.
-
-        Uses E[sign(a + beta * t)] and P(a + beta * t > 0) where t is one
-        coordinate of a uniform unit-ball point, integrated piecewise with
-        Gauss-Legendre so the indicator breakpoints are node-aligned.
-        """
-        if mu <= 0:
-            raise OracleError("smoothing radius must be > 0")
-        s = self.slices[client]
-        C, U, V = self.C[s], self.U[s], self.V[s]
-        p, q = self.p[s], self.q[s]
-        m = C.shape[0]
-
-        a_abs = C @ w
-        beta_abs = mu * np.linalg.norm(C, axis=1)
-        exp_sign = np.array(
-            [_marginal_expected_sign(a_abs[j], beta_abs[j], self.d, nodes) for j in range(m)]
-        )
-
-        diff = U - V
-        a_max = diff @ w + (p - q)
-        beta_max = mu * np.linalg.norm(diff, axis=1)
-        prob_first = np.array(
-            [_marginal_prob_positive(a_max[j], beta_max[j], self.d, nodes) for j in range(m)]
-        )
-
-        grad = exp_sign @ C + V.sum(axis=0) + prob_first @ diff
-        return grad / m
-
-
-@lru_cache(maxsize=8)
-def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(nodes)
-
-
-@lru_cache(maxsize=64)
-def _marginal_norm(d: int, nodes: int) -> float:
-    xf, wf = _leggauss(nodes)
-    return float(np.sum(wf * (1.0 - xf * xf) ** ((d - 1) / 2.0)))
-
-
-def _marginal_density_mass(lo: float, hi: float, d: int, nodes: int) -> float:
-    """integral of (1 - t^2)^((d-1)/2) over [lo, hi], normalized over [-1, 1]."""
-    x, wts = _leggauss(nodes)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    t = mid + half * x
-    unnorm = half * np.sum(wts * (1.0 - t * t) ** ((d - 1) / 2.0))
-    return unnorm / _marginal_norm(d, nodes)
-
-
-def _marginal_prob_positive(a: float, beta: float, d: int, nodes: int) -> float:
-    """P(a + beta t > 0) for t one coordinate of a uniform unit-ball draw."""
-    if beta == 0.0:
-        return 1.0 if a > 0 else 0.0
-    t0 = -a / beta
-    if t0 <= -1.0:
-        return 1.0
-    if t0 >= 1.0:
-        return 0.0
-    return _marginal_density_mass(t0, 1.0, d, nodes)
-
-
-def _marginal_expected_sign(a: float, beta: float, d: int, nodes: int) -> float:
-    return 2.0 * _marginal_prob_positive(a, beta, d, nodes) - 1.0
 
 
 # -- estimators ---------------------------------------------------------------

@@ -3,7 +3,9 @@
 All randomness in a run flows from a single root seed. Each consumer gets
 its own generator derived from (purpose, *key), so the draws of one purpose
 (client sampling, segment draws s, data indices, perturbation directions,
-...) never shift when another purpose consumes more or fewer values. This
+...) never shift when another purpose consumes more or fewer values. The
+drivers key the four step purposes by epoch alone and consume each epoch's
+generator in step order. This
 is what makes the n=1 reference-loop comparison and A/B runs that share
 data noise possible.
 """
@@ -15,10 +17,10 @@ import numpy as np
 # Stable purpose ids; never reorder, only append.
 _PURPOSES = {
     "shard": 0,       # dataset shuffle before splitting across clients
-    "client": 1,      # per-step active-client draw
-    "s": 2,           # per-step segment positions s_i in [0,1]
-    "xi": 3,          # per-step local sample index draws
-    "z": 4,           # per-step perturbation directions (ball / sphere)
+    "client": 1,      # per-epoch active-client draws, one per step
+    "s": 2,           # per-epoch segment positions s_i in [0,1], n per step
+    "xi": 3,          # per-epoch local sample index draws, one per oracle call
+    "z": 4,           # per-epoch perturbation directions (ball / sphere)
     "selector": 5,    # output epoch selection
     "goldstein": 6,   # stationarity probe directions
     "datagen": 7,     # synthetic problem / dataset generation

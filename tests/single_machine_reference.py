@@ -3,7 +3,8 @@ n = 1 degenerate network.
 
 Deliberately avoids the package drivers and gossip machinery: no stacked
 arrays, no mixing, one client. Shares only the estimator functions and the
-per-purpose random streams, which is exactly what the equivalence check is
+per-purpose random streams (one generator per purpose and epoch, consumed
+in step order), which is exactly what the equivalence check is
 about: with mixing degenerate, the decentralized drivers must reproduce
 this loop bit for bit.
 """
@@ -25,13 +26,14 @@ def run_reference(plan, problem, observer=None):
     epoch_sums = np.zeros((plan.K, d))
     for k in range(1, plan.K + 1):
         delta_half = np.zeros(d)
+        rng_s = stream(seed, "s", k)
+        rng_xi = stream(seed, "xi", k)
+        rng_z = stream(seed, "z", k)
         for t in range(1, plan.T + 1):
-            s = stream(seed, "s", k, t).random(1)[0]
+            s = rng_s.random(1)[0]
             x = y + delta_half
             w = y + s * delta_half
             y = x  # mixing over a one-client network is the identity
-            rng_xi = stream(seed, "xi", k, t)
-            rng_z = stream(seed, "z", k, t)
             out = estimator(problem, 0, w, plan.delta_prime, rng_xi, rng_z)
             v = delta_half - plan.eta * out.g
             norm = float(np.linalg.norm(v))

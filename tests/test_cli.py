@@ -299,7 +299,7 @@ def test_summary_declares_trace_format(tmp_path):
     run_experiment(parse_config(path))
     payload = json.loads((out / "summary.json").read_text())
     assert payload["version"] == gossipopt.__version__
-    assert payload["trace_format"] == gossipopt.TRACE_FORMAT == 2
+    assert payload["trace_format"] == gossipopt.TRACE_FORMAT == 3
 
 
 def test_same_seed_produces_byte_identical_trace(tmp_path):
@@ -364,6 +364,67 @@ def test_grid_expansion_writes_cells(tmp_path):
     assert len(cells) == 4
     for cell in cells:
         assert (out / cell / "trace_1.csv").exists()
+
+
+SVM_GRID = """\
+[problem]
+kind = capped_l1_svm
+dataset = {data}
+d = 123
+subsample = 400
+
+[topology]
+kind = ring
+n = 4
+
+[algorithm]
+method = docs
+oracle = first
+delta = 0.5
+epsilon = 0.5
+K = 1
+T = 12
+R = 2
+eta = {eta}
+D = {D}
+
+[run]
+seeds = 3, 4
+metrics_every = 4
+goldstein_final_samples = 16
+out_dir = {{out}}
+"""
+
+
+def test_grid_builds_one_problem_per_seed(tmp_path, synthetic_libsvm_path, monkeypatch):
+    from gossipopt.oracles import CappedHingeSvmProblem
+
+    build = CappedHingeSvmProblem.from_shards
+    built = []
+
+    def counting_build(*args, **kwargs):
+        built.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(CappedHingeSvmProblem, "from_shards", staticmethod(counting_build))
+    text = SVM_GRID.format(data=synthetic_libsvm_path, eta="0.002, 0.004", D="0.01, 0.02")
+    path, out = write_config(tmp_path, text, name="grid.ini", out=tmp_path / "grid")
+    summary = run_experiment(parse_config(path))
+    assert len(built) == 2  # one per seed, not one per (cell, seed)
+    # the runs keep their (cell, seed) order
+    assert [(r.eta, r.D, r.seed) for r in summary.runs] == [
+        (eta, D, seed) for eta in (0.002, 0.004) for D in (0.01, 0.02) for seed in (3, 4)
+    ]
+    for eta in ("0.002", "0.004"):
+        for D in ("0.01", "0.02"):
+            single = SVM_GRID.format(data=synthetic_libsvm_path, eta=eta, D=D)
+            cell_out = tmp_path / f"single_{eta}_{D}"
+            path, _ = write_config(tmp_path, single, name=f"{eta}_{D}.ini", out=cell_out)
+            run_experiment(parse_config(path))
+            for seed in (3, 4):
+                name = f"trace_{seed}.csv"
+                shared = (out / f"eta{eta}_D{D}" / name).read_bytes()
+                assert shared == (cell_out / name).read_bytes()
 
 
 def test_output_dir_env_override(tmp_path):

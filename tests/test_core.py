@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gossipopt.core import (
+    ORACLE_TYPES,
     DivergenceError,
     PlanError,
     PlanOverrides,
@@ -17,6 +18,7 @@ from gossipopt.core import (
     run_docs,
 )
 from gossipopt.oracles import PiecewiseProblem
+from gossipopt.rng import stream
 from gossipopt.topology import build_ring, single_client
 from single_machine_reference import run_reference
 
@@ -307,6 +309,26 @@ def test_full_reproducibility_bitwise():
     assert len(ws_a) == len(ws_b) == small_plan().steps_total
     assert all(np.array_equal(wa, wb) for wa, wb in zip(ws_a, ws_b))
     assert a.selected_epochs.tolist() == b.selected_epochs.tolist()
+
+
+def test_client_stream_is_per_epoch_and_decoupled_from_oracle_draws():
+    """The z purpose consumes d + 1 draws per first-order call (ball) and d
+    per zeroth-order call (sphere), yet both runs sample the same clients:
+    epoch k's clients are stream(seed, "client", k) drawn T times in order."""
+    problem = _toy_problem()
+    clients = {}
+    for oracle_type in ORACLE_TYPES:
+        plan = small_plan(K=3, T=30, oracle_type=oracle_type)
+        seen = []
+        run_docs(plan, problem, build_ring(4, 1),
+                 step_observer=lambda s: seen.append((s.k, s.active_client)))
+        clients[oracle_type] = seen
+    assert clients["first"] == clients["zeroth"]
+    expected = []
+    for k in range(1, plan.K + 1):
+        rng = stream(plan.seed, "client", k)
+        expected += [(k, int(rng.integers(plan.n))) for _ in range(plan.T)]
+    assert clients["first"] == expected
 
 
 def test_clip_and_mean_relation_invariants():

@@ -20,6 +20,7 @@ from gossipopt.oracles import (
 )
 from gossipopt.rng import stream
 from mc_smoothing import mc_smoothed_gradient
+from quadrature_smoothing import smoothed_gradient
 
 
 def make_svm(rng, n=2, per_client=3, d=6, lam=1e-3, alpha=2.0):
@@ -429,7 +430,7 @@ def test_quadrature_smoothing_agrees_with_mc_oracle():
     p = PiecewiseProblem.generate(n=2, d=8, samples_per_client=4, seed=11)
     w = stream(99, "datagen", 5).standard_normal(8) * 0.3
     mu = 0.15
-    quad = p.smoothed_gradient(0, w, mu)
+    quad = smoothed_gradient(p, 0, w, mu)
     mc, mc_se = mc_smoothed_gradient(p, 0, w, mu, 1_000_000, stream(25, "goldstein", 9))
     assert np.all(np.abs(quad - mc) <= 4 * mc_se + 1e-12)
 
