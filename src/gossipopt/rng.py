@@ -5,9 +5,8 @@ its own generator derived from (purpose, *key), so the draws of one purpose
 (client sampling, segment draws s, data indices, perturbation directions,
 ...) never shift when another purpose consumes more or fewer values. The
 drivers key the four step purposes by epoch alone and consume each epoch's
-generator in step order. This
-is what makes the n=1 reference-loop comparison and A/B runs that share
-data noise possible.
+generator in step order. This is what makes the n=1 reference-loop
+comparison and A/B runs that share data noise possible.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ n = 1 degenerate network.
 Deliberately avoids the package drivers and gossip machinery: no stacked
 arrays, no mixing, one client. Shares only the estimator functions and the
 per-purpose random streams (one generator per purpose and epoch, consumed
-in step order), which is exactly what the equivalence check is
-about: with mixing degenerate, the decentralized drivers must reproduce
-this loop bit for bit.
+in step order), which is exactly what the equivalence check is about: with
+mixing degenerate, the decentralized drivers must reproduce this loop bit
+for bit.
 """
 
 import numpy as np
