@@ -215,6 +215,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("problem.alpha: must be > 0")
     if p.subsample is not None and p.subsample < 1:
         raise ConfigError("problem.subsample: must be >= 1")
+    if p.data_seed < 0:
+        raise ConfigError("problem.data_seed: must be >= 0")
+    if p.gen_seed < 0:
+        raise ConfigError("problem.gen_seed: must be >= 0")
     if p.kind == "capped_l1_svm" and not p.dataset:
         raise ConfigError("problem.dataset: required for kind capped_l1_svm")
     if p.kind == "synthetic_piecewise" and p.samples_per_client < 1:
@@ -247,6 +251,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("algorithm.T: must be >= 1")
     if not run.seeds:
         raise ConfigError("run.seeds: at least one seed is required")
+    if any(seed < 0 for seed in run.seeds):
+        raise ConfigError("run.seeds: must be >= 0")
     if run.metrics_every < 1:
         raise ConfigError("run.metrics_every: must be >= 1")
     if run.goldstein_every < 0:
@@ -313,11 +319,9 @@ def load_dataset(cfg: ProblemConfig):
     return data
 
 
-def build_problem(cfg: ProblemConfig, n: int, seed: int, data=None):
+def build_problem(cfg: ProblemConfig, n: int, seed: int, data):
     if cfg.kind == "synthetic_piecewise":
         return PiecewiseProblem.generate(n, cfg.d, cfg.samples_per_client, cfg.gen_seed)
-    if data is None:
-        data = load_dataset(cfg)
     shards = shard(data, n, seed)
     return CappedHingeSvmProblem.from_shards(
         shards,
@@ -489,7 +493,7 @@ def run_experiment(cfg: ExperimentConfig, dry_run: bool = False) -> RunSummary:
             )
             final_probe = replace(probe_cfg, num_smoothing_samples=cfg.run.goldstein_final_samples)
             try:
-                with MetricsSink(str(trace_path), keep_in_memory=False) as sink:
+                with MetricsSink(str(trace_path)) as sink:
                     outputs = driver(
                         plan,
                         problem,
@@ -509,11 +513,7 @@ def run_experiment(cfg: ExperimentConfig, dry_run: bool = False) -> RunSummary:
                 summary.runs.append(result)
                 print(f"seed {seed} failed: {result.error}", file=sys.stderr)
                 continue
-            result.samples_total = outputs.counters.samples_total
-            result.computation_rounds = outputs.counters.computation_rounds
-            result.communication_rounds = outputs.counters.communication_rounds
-            result.function_evals = outputs.counters.function_evals
-            summary.runs.append(result)
+            summary.runs.append(replace(result, **asdict(outputs.counters)))
 
     summary.aggregate = _aggregate(summary.runs)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -524,6 +524,8 @@ def run_experiment(cfg: ExperimentConfig, dry_run: bool = False) -> RunSummary:
 
 
 def _final_goldstein(problem, w_out: np.ndarray, cfg: GoldsteinProbeConfig, seed: int) -> float:
+    # the benchmark wraps metrics.goldstein_probe where it stands, so the
+    # final probe looks it up there at call time through this lazy import
     from .metrics import goldstein_probe
 
     return goldstein_probe(problem, w_out, cfg, stream(seed, "goldstein", 0))
@@ -655,6 +657,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 0
         if args.command == "make-data":
+            for flag, least in (("samples", 1), ("dim", 1), ("seed", 0)):
+                if getattr(args, flag) < least:
+                    raise ConfigError(f"--{flag}: must be >= {least}")
             write_synthetic_libsvm(args.path, args.samples, args.dim, args.seed)
             print(f"wrote {args.samples} samples of dimension {args.dim} to {args.path}")
             return 0

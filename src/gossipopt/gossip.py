@@ -92,26 +92,12 @@ def plain_gossip(matrix: MixingMatrix, z: np.ndarray, rounds: int) -> np.ndarray
     return out
 
 
-def contraction_bound(gamma: float, rounds: int) -> float:
-    """Worst-case ratio of summed squared consensus errors after ``rounds``
-    accelerated rounds: 14 * (1 - (1 - 1/sqrt(2)) * sqrt(gamma))^(2R)."""
-    c = 1.0 - (1.0 - 1.0 / math.sqrt(2.0)) * math.sqrt(gamma)
-    return 14.0 * c ** (2 * rounds)
-
-
-def _rounds_formula(gamma: float, n: int, diameter: float, tolerance: float) -> int:
-    """ceil( log(sqrt(14 n (n-1)) * D / eps') / ((1 - 1/sqrt(2)) sqrt(gamma)) ),
-    clamped below at 1."""
-    rate = (1.0 - 1.0 / math.sqrt(2.0)) * math.sqrt(gamma)
-    arg = math.sqrt(14.0 * n * (n - 1)) * diameter / tolerance
-    rounds = math.ceil(math.log(arg) / rate)
-    return max(rounds, 1)
-
-
 def plan_rounds(gamma: float, n: int, diameter: float, tolerance: float) -> int:
     """Accelerated round count guaranteeing per-client consensus error
     <= ``tolerance`` when every pre-mix state is one clipped update of norm
-    <= n * diameter (all other clients at zero)."""
+    <= n * diameter (all other clients at zero):
+    ceil( log(sqrt(14 n (n-1)) * D / eps') / ((1 - 1/sqrt(2)) sqrt(gamma)) ),
+    at least 6, as the checks keep the log argument above sqrt(28)."""
     if not 0.0 < gamma <= 1.0:
         raise GossipError(f"gamma must be in (0, 1], got {gamma}")
     if n < 2:
@@ -123,10 +109,6 @@ def plan_rounds(gamma: float, n: int, diameter: float, tolerance: float) -> int:
             f"tolerance must satisfy 0 < tolerance < diameter, got "
             f"tolerance = {tolerance}, diameter = {diameter}"
         )
-    return _rounds_formula(gamma, n, diameter, tolerance)
-
-
-def consensus_sq_error(z: np.ndarray) -> float:
-    """Sum over clients of squared distance to the client mean."""
-    centered = z - z.mean(axis=0, keepdims=True)
-    return float(np.sum(centered * centered))
+    rate = (1.0 - 1.0 / math.sqrt(2.0)) * math.sqrt(gamma)
+    arg = math.sqrt(14.0 * n * (n - 1)) * diameter / tolerance
+    return math.ceil(math.log(arg) / rate)

@@ -17,18 +17,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-CSV_COLUMNS = (
-    "k",
-    "t",
-    "samples_total",
-    "computation_rounds",
-    "communication_rounds",
-    "objective",
-    "consensus_x",
-    "consensus_delta",
-    "goldstein_estimate",
-)
-
 _COUNTER_FIELDS = ("samples_total", "computation_rounds", "communication_rounds")
 
 
@@ -70,18 +58,20 @@ class MetricsRecord:
         return ",".join(cells)
 
 
-class MetricsSink:
-    """Collects records in memory and/or streams them to a CSV file.
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
-    In streaming mode (keep_in_memory=False) no rows are retained, so
-    arbitrarily long traces run in constant memory. The file is flushed
-    and closed on close()/context exit/garbage collection; write errors
-    propagate to the caller.
+
+class MetricsSink:
+    """Streams records to a CSV file, or keeps them in memory when there is
+    no file.
+
+    A file sink retains no rows, so arbitrarily long traces run in constant
+    memory. The file is flushed and closed on close()/context exit/garbage
+    collection; write errors propagate to the caller.
     """
 
-    def __init__(self, path: str | None = None, keep_in_memory: bool = True):
+    def __init__(self, path: str | None = None):
         self.records: list[MetricsRecord] = []
-        self.keep_in_memory = keep_in_memory
         self._fh: io.TextIOBase | None = None
         self._last_counters: tuple[int, int, int] | None = None
         if path is not None:
@@ -98,15 +88,14 @@ class MetricsSink:
             raise InvariantViolation(
                 "non-finite objective in metrics record", rec.k, rec.t, rec.objective, "finite"
             )
-        if self.keep_in_memory:
+        if self._fh is None:
             self.records.append(rec)
-        if self._fh is not None:
+        else:
             self._fh.write(rec.csv_row() + "\n")
 
     def close(self) -> None:
         if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+            self._fh.close()  # idempotent; a later record() raises
 
     def __enter__(self) -> "MetricsSink":
         return self

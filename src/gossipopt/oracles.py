@@ -318,23 +318,17 @@ class CappedHingeSvmProblem(_ShardedProblem):
             g = g - b * a
         return g
 
-    def per_sample_lipschitz(self, client: int, j: int) -> float:
-        row = self._row(client, j)
-        return float(np.linalg.norm(self.features[row])) + self.lam * np.sqrt(self.d)
+    # The benchmark wraps full_value where it stands, on this class, so it
+    # stays defined in the class body.
+    def full_value(self, x: np.ndarray) -> float:
+        margins = (self.features @ x) * self.labels
+        hinge = np.maximum(1.0 - margins, 0.0).mean()
+        pen = self.lam * np.minimum(np.abs(x), self.alpha).sum()
+        return float(hinge + pen)
 
     # Batched over the rows of the (q, d) probe points X. The hinge is active
     # at margin <= 1; the penalty subgradient is lam * sign(x_j) strictly
     # inside the cap |x_j| < alpha and 0 outside.
-
-    def full_value(self, x: np.ndarray) -> float:
-        return float(self.full_values(x[None, :])[0])
-
-    def full_values(self, X: np.ndarray) -> np.ndarray:
-        margins = (X @ self.features.T) * self.labels[None, :]
-        hinge = np.maximum(1.0 - margins, 0.0).mean(axis=1)
-        pen = self.lam * np.minimum(np.abs(X), self.alpha).sum(axis=1)
-        return hinge + pen
-
     def full_subgradients(self, X: np.ndarray) -> np.ndarray:
         m = self.features.shape[0]
         out = np.empty_like(X)
@@ -429,20 +423,12 @@ class PiecewiseProblem(_ShardedProblem):
             g = g + self.V[r]
         return g
 
-    def per_sample_lipschitz(self, client: int, j: int) -> float:
-        r = self._row(client, j)
-        return float(
-            np.linalg.norm(self.C[r])
-            + max(np.linalg.norm(self.U[r]), np.linalg.norm(self.V[r]))
-        )
-
+    # Kept in the class body like CappedHingeSvmProblem.full_value, which
+    # the benchmark wraps where it stands.
     def full_value(self, x: np.ndarray) -> float:
-        return float(self.full_values(x[None, :])[0])
-
-    def full_values(self, X: np.ndarray) -> np.ndarray:
-        abs_part = np.abs(X @ self.C.T)
-        max_part = np.maximum(X @ self.U.T + self.p, X @ self.V.T + self.q)
-        return (abs_part + max_part).mean(axis=1)
+        abs_part = np.abs(self.C @ x)
+        max_part = np.maximum(self.U @ x + self.p, self.V @ x + self.q)
+        return float((abs_part + max_part).mean())
 
     def full_subgradients(self, X: np.ndarray) -> np.ndarray:
         m = self.C.shape[0]

@@ -38,14 +38,9 @@ def stream(root_seed: int, purpose: str, *key: int) -> np.random.Generator:
 
 
 def ball(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Uniform draw from the unit Euclidean ball in R^d.
-
-    Gaussian direction normalized to the sphere, then scaled by U^(1/d).
-    """
-    g = rng.standard_normal(d)
-    g /= np.linalg.norm(g)
-    r = rng.random() ** (1.0 / d)
-    return r * g
+    """Uniform draw from the unit Euclidean ball in R^d: a sphere draw, then its radius U^(1/d)."""
+    g = sphere(rng, d)
+    return rng.random() ** (1.0 / d) * g
 
 
 def sphere(rng: np.random.Generator, d: int) -> np.ndarray:

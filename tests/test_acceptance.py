@@ -21,7 +21,7 @@ from gossipopt.core import (
     run_baseline_full_participation,
     run_docs,
 )
-from gossipopt.gossip import GossipConfig, consensus_sq_error, contraction_bound, fast_gossip
+from gossipopt.gossip import GossipConfig, fast_gossip
 from gossipopt.metrics import MetricsSink
 from gossipopt.oracles import (
     CappedHingeSvmProblem,
@@ -35,6 +35,7 @@ from gossipopt.oracles import (
 )
 from gossipopt.rng import stream
 from gossipopt.topology import build_ring, single_client
+from gossip_bounds import consensus_sq_error, contraction_bound
 from mc_smoothing import mc_smoothed_gradient
 from single_machine_reference import run_reference
 from test_core import pgd_ball_argmin

@@ -183,12 +183,19 @@ def test_type_errors_name_the_key(tmp_path):
         ("problem.subsample", "-5"),
         ("problem.lam", "0"),
         ("problem.alpha", "-1"),
+        ("problem.data_seed", "-1"),
+        ("problem.gen_seed", "-3"),
+        ("run.seeds", "-1"),
+        ("run.seeds", "1, -2"),
     ],
 )
 def test_bad_probe_and_data_values_rejected_before_any_run(tmp_path, key, value):
     section, name = key.split(".")
-    anchor = {"problem": "gen_seed = 5", "run": "metrics_every = 5"}[section]
-    path, out = write_config(tmp_path, MINIMAL.replace(anchor, f"{anchor}\n{name} = {value}"))
+    # the key goes right under its section header, in place of any line
+    # MINIMAL already has for it, so that it is set only once
+    lines = [line for line in MINIMAL.splitlines() if not line.startswith(f"{name} = ")]
+    lines.insert(lines.index(f"[{section}]") + 1, f"{name} = {value}")
+    path, out = write_config(tmp_path, "\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=f"^{key}: must be "):
         parse_config(path)
     assert main(["run", path]) == 1
@@ -339,7 +346,7 @@ seeds = 3
 metrics_every = 10
 out_dir = {out}
 """
-    from gossipopt.cli import build_problem
+    from gossipopt.cli import build_problem, load_dataset
 
     cfgs = {}
     for method in ("docs", "baseline"):
@@ -347,8 +354,9 @@ out_dir = {out}
         p = tmp_path / f"{method}.ini"
         p.write_text(text)
         cfgs[method] = parse_config(str(p))
-    prob_a = build_problem(cfgs["docs"].problem, 4, seed=3)
-    prob_b = build_problem(cfgs["baseline"].problem, 4, seed=3)
+    prob_a, prob_b = (
+        build_problem(c.problem, 4, 3, load_dataset(c.problem)) for c in cfgs.values()
+    )
     assert np.array_equal(prob_a.features, prob_b.features)
     assert np.array_equal(prob_a.labels, prob_b.labels)
 
@@ -510,12 +518,20 @@ def test_validate_topology_subcommand(tmp_path, capsys):
     assert main(["validate-topology", str(bad)]) == 1
 
 
-def test_make_data_subcommand(tmp_path):
+def test_make_data_subcommand(tmp_path, capsys):
     target = tmp_path / "gen.libsvm"
     assert main(["make-data", str(target), "--samples", "50", "--dim", "20", "--seed", "1"]) == 0
     from gossipopt.oracles import load_libsvm
 
     assert len(load_libsvm(str(target), 20)) == 50
+    bad = tmp_path / "bad.libsvm"
+    for flag, value, least in (
+        ("--samples", "0", 1), ("--samples", "-5", 1), ("--dim", "0", 1), ("--seed", "-1", 0)
+    ):
+        assert main(["make-data", str(bad), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {flag}: must be >= {least}\n"
+        assert not bad.exists()
 
 
 def test_file_topology_config(tmp_path):
@@ -611,10 +627,9 @@ def test_goldstein_cadence_fills_cells(tmp_path):
 
 
 def test_default_alpha_and_lam(tmp_path, synthetic_libsvm_path):
-    from gossipopt.cli import build_problem
-    from gossipopt.cli import ProblemConfig
+    from gossipopt.cli import ProblemConfig, build_problem, load_dataset
 
     cfg = ProblemConfig(kind="capped_l1_svm", dataset=synthetic_libsvm_path, d=123)
-    prob = build_problem(cfg, 4, seed=1)
+    prob = build_problem(cfg, 4, 1, load_dataset(cfg))
     assert prob.alpha == 2.0
     assert prob.lam == pytest.approx(1e-5 / 8000)

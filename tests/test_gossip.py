@@ -6,14 +6,13 @@ import pytest
 from gossipopt.gossip import (
     GossipConfig,
     GossipError,
-    consensus_sq_error,
-    contraction_bound,
     fast_gossip,
     momentum_coefficient,
     plain_gossip,
     plan_rounds,
 )
 from gossipopt.topology import build_complete, build_ring, single_client
+from gossip_bounds import consensus_sq_error, contraction_bound
 
 
 def recursion_reference(matrix, rounds, z):
@@ -182,14 +181,11 @@ def test_plan_rounds_matches_high_precision_oracle():
     assert plan_rounds(0.25, 16, 0.01, 1e-5) == 75
 
 
-def test_plan_rounds_clamps_at_one():
-    from gossipopt.gossip import _rounds_formula
-
-    # with the log argument at 1 the raw formula gives 0; public preconditions
-    # (tolerance < diameter) cannot reach it, so exercise the formula directly
-    d = 1.0
-    tol = math.sqrt(14 * 2 * 1) * d
-    assert _rounds_formula(1.0, 2, d, tol) == 1
+def test_plan_rounds_smallest_reachable_count():
+    # n = 2, gamma = 1 and tolerance just below the diameter bring the log
+    # argument down to sqrt(28): ceil(log(sqrt(28)) / (1 - 1/sqrt(2))) =
+    # ceil(5.688...) = 6, the fewest rounds the public inputs can give
+    assert plan_rounds(1.0, 2, 1.0, 1 - 1e-15) == 6
 
 
 def test_plan_rounds_monotone_in_tolerance():

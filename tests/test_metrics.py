@@ -154,7 +154,7 @@ def test_sink_writes_header_and_rows(tmp_path):
     )
     assert lines[1].endswith(",0.5")
     assert lines[2].endswith(",")  # empty cell when not probed
-    assert len(sink.records) == 2
+    assert sink.records == []  # a sink with a file keeps no rows in memory
 
 
 def test_sink_rejects_regressing_counters():
@@ -166,12 +166,18 @@ def test_sink_rejects_regressing_counters():
 
 def test_sink_streaming_mode_retains_nothing(tmp_path):
     path = tmp_path / "big.csv"
-    with MetricsSink(str(path), keep_in_memory=False) as sink:
+    with MetricsSink(str(path)) as sink:
         for step in range(1, 100_001):
             sink.record(_rec(step))
         assert sink.records == []
     with open(path) as fh:
         assert sum(1 for _ in fh) == 100_001
+    # without a file every row stays in memory
+    sink = MetricsSink()
+    rows = [_rec(step) for step in range(1, 1001)]
+    for rec in rows:
+        sink.record(rec)
+    assert sink.records == rows
 
 
 def test_sink_io_errors_surface(tmp_path):
