@@ -14,7 +14,6 @@ TRACE_FORMAT = 3
 from .core import (
     DivergenceError,
     EpochOutputs,
-    PlanOverrides,
     RunPlan,
     inner_update,
     plan_parameters,
@@ -62,7 +61,6 @@ __all__ = [
     "active_backend",
     "DivergenceError",
     "EpochOutputs",
-    "PlanOverrides",
     "RunPlan",
     "inner_update",
     "plan_parameters",

@@ -29,7 +29,6 @@ from . import TRACE_FORMAT, __version__
 from .core import (
     ORACLE_TYPES,
     PlanError,
-    PlanOverrides,
     RunPlan,
     plan_parameters,
     run_baseline_full_participation,
@@ -219,6 +218,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("problem.data_seed: must be >= 0")
     if p.gen_seed < 0:
         raise ConfigError("problem.gen_seed: must be >= 0")
+    if p.lipschitz is not None and p.lipschitz <= 0:
+        raise ConfigError("problem.lipschitz: must be > 0")
+    if p.grad_bound is not None and p.grad_bound <= 0:
+        raise ConfigError("problem.grad_bound: must be > 0")
     if p.kind == "capped_l1_svm" and not p.dataset:
         raise ConfigError("problem.dataset: required for kind capped_l1_svm")
     if p.kind == "synthetic_piecewise" and p.samples_per_client < 1:
@@ -231,6 +234,16 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("algorithm.delta: must be > 0")
     if alg.epsilon <= 0:
         raise ConfigError("algorithm.epsilon: must be > 0")
+    if alg.delta_prime is not None and alg.delta_prime < 0:
+        raise ConfigError("algorithm.delta_prime: must be >= 0")
+    if alg.delta_prime == 0 and alg.oracle == "zeroth":
+        raise ConfigError("algorithm.delta_prime: must be > 0 for oracle zeroth")
+    if alg.sigma is not None and alg.sigma < 0:
+        raise ConfigError("algorithm.sigma: must be >= 0")
+    if alg.nu < 0:
+        raise ConfigError("algorithm.nu: must be >= 0")
+    if alg.c0 <= 0:
+        raise ConfigError("algorithm.c0: must be > 0")
     if alg.eta is not None and any(v <= 0 for v in alg.eta):
         raise ConfigError("algorithm.eta: entries must be > 0")
     if alg.D is not None and any(v <= 0 for v in alg.D):
@@ -261,25 +274,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("run.goldstein_samples: must be >= 1")
     if run.goldstein_final_samples < 1:
         raise ConfigError("run.goldstein_final_samples: must be >= 1")
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) equals cfg."""
-    def fmt(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, tuple):
-            return ", ".join(str(x) for x in v)
-        return str(v)
-
-    lines = []
-    for section in _SECTIONS:
-        lines.append(f"[{section}]")
-        for key, value in asdict(getattr(cfg, section)).items():
-            if value is not None:
-                lines.append(f"{key} = {fmt(value)}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -331,48 +325,6 @@ def build_problem(cfg: ProblemConfig, n: int, seed: int, data):
         lipschitz_L=cfg.lipschitz,
         grad_bound_G=cfg.grad_bound,
     )
-
-
-def resolve_plan(
-    cfg: ExperimentConfig,
-    matrix: MixingMatrix,
-    problem,
-    seed: int,
-    eta: float | None,
-    diameter: float | None,
-) -> RunPlan:
-    alg = cfg.algorithm
-    # the baseline mixes with one plain round, whatever the planner would pick
-    rounds = 1 if alg.method == "baseline" else alg.R
-    overrides = PlanOverrides(
-        eta=eta, D=diameter, R=rounds, K=alg.K, T=alg.T, eps_prime=alg.eps_prime
-    )
-    try:
-        return plan_parameters(
-            alg.delta,
-            alg.epsilon,
-            cfg.topology.n,
-            cfg.problem.d,
-            matrix.gamma,
-            problem.lipschitz_L,
-            problem.grad_bound_G,
-            alg.oracle,
-            seed=seed,
-            sigma=alg.sigma,
-            c0=alg.c0,
-            nu=alg.nu,
-            delta_prime=alg.delta_prime,
-            overrides=overrides,
-            per_client_selector=alg.per_client_selector,
-        )
-    except PlanError as exc:
-        raise ConfigError(f"algorithm: {exc}") from exc
-
-
-def _grid(alg: AlgorithmConfig) -> list[tuple[float | None, float | None]]:
-    etas: tuple[float | None, ...] = alg.eta if alg.eta else (None,)
-    diams: tuple[float | None, ...] = alg.D if alg.D else (None,)
-    return [(e, dv) for e in etas for dv in diams]
 
 
 @dataclass
@@ -430,90 +382,105 @@ def _aggregate(runs: list[RunResult]) -> dict:
     return agg
 
 
-def run_experiment(cfg: ExperimentConfig, dry_run: bool = False) -> RunSummary:
+def plan_experiment(cfg: ExperimentConfig) -> tuple[Path, MixingMatrix, list]:
+    """Resolve every (grid cell, seed) of the config before anything is
+    written.
+
+    Returns the output directory, the mixing matrix and, in sweep order
+    (grid cells outer, seeds inner), one (trace path, plan, problem) per
+    run; grid runs trace under eta.../D... subdirectories. A dataset that
+    cannot be loaded or sharded, or a plan the planner rejects, raises here,
+    so such a sweep creates no directory or file.
+    """
+    alg, n = cfg.algorithm, cfg.topology.n
+    out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.run.out_dir))
+    matrix = build_topology(cfg.topology)
+    # the whole sweep shares one dataset
+    dataset = load_dataset(cfg.problem)
+    if dataset is not None and len(dataset) < n:
+        key = "problem.subsample" if cfg.problem.subsample is not None else "problem.dataset"
+        raise ConfigError(
+            f"{key}: {len(dataset)} samples cannot be sharded across topology.n = {n} clients"
+        )
+    # a problem depends on its seed alone, so each seed's is built once and
+    # shared by every grid cell
+    problems = {seed: build_problem(cfg.problem, n, seed, dataset) for seed in cfg.run.seeds}
+    grid = [(eta, diameter) for eta in alg.eta or (None,) for diameter in alg.D or (None,)]
+    runs = []
+    for eta, diameter in grid:
+        cell_dir = out_dir
+        if len(grid) > 1:
+            cell_dir = out_dir / f"eta{eta if eta is not None else 'auto'}_D{diameter if diameter is not None else 'auto'}"
+        for seed in cfg.run.seeds:
+            problem = problems[seed]
+            try:
+                plan = plan_parameters(
+                    alg.delta, alg.epsilon, n, cfg.problem.d, matrix.gamma,
+                    problem.lipschitz_L, problem.grad_bound_G, alg.oracle, seed,
+                    sigma=alg.sigma, c0=alg.c0, nu=alg.nu, delta_prime=alg.delta_prime,
+                    eta=eta, D=diameter, K=alg.K, T=alg.T, eps_prime=alg.eps_prime,
+                    # the baseline mixes with one plain round, whatever the planner would pick
+                    R=1 if alg.method == "baseline" else alg.R,
+                    per_client_selector=alg.per_client_selector,
+                )
+            except PlanError as exc:
+                raise ConfigError(f"algorithm: {exc}") from exc
+            runs.append((cell_dir / f"trace_{seed}.csv", plan, problem))
+    return out_dir, matrix, runs
+
+
+def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """Execute every (grid cell, seed) combination of the config.
 
-    Each run writes trace_<seed>.csv under the output directory (grid runs
-    under eta.../D... subdirectories); one summary.json covers all runs. A
-    failing seed is recorded in the summary and does not stop the sweep,
-    but a sweep where every run failed raises the last error.
+    Every plan is resolved first (plan_experiment). Each run then writes
+    its trace_<seed>.csv, and one summary.json under the output directory
+    covers all runs. A failing seed is recorded in the summary and does not
+    stop the sweep, but a sweep where every run failed raises the last
+    error.
     """
-    out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.run.out_dir))
+    out_dir, matrix, runs = plan_experiment(cfg)
     summary = RunSummary(
         version=__version__,
         config_hash=config_hash(cfg),
         method=cfg.algorithm.method,
         oracle=cfg.algorithm.oracle,
     )
-    matrix = build_topology(cfg.topology)
-    grid = _grid(cfg.algorithm)
     driver = run_docs if cfg.algorithm.method == "docs" else run_baseline_full_participation
-    # the whole sweep shares one dataset; a load failure ends it before
-    # anything is written
-    dataset = load_dataset(cfg.problem)
-    if dataset is not None and len(dataset) < cfg.topology.n:
-        key = "problem.subsample" if cfg.problem.subsample is not None else "problem.dataset"
-        raise ConfigError(
-            f"{key}: {len(dataset)} samples cannot be sharded across "
-            f"topology.n = {cfg.topology.n} clients"
-        )
-
-    if dry_run:
-        seed = cfg.run.seeds[0]
-        problem = build_problem(cfg.problem, cfg.topology.n, seed, dataset)
-        for eta, diameter in grid:
-            print(_format_plan(resolve_plan(cfg, matrix, problem, seed, eta, diameter),
-                               cfg.algorithm.method))
-        return summary
-
     last_error: Exception | None = None
-    # a problem depends on its seed alone, so each seed's is built once and
-    # shared by every grid cell
-    problems: dict = {}
-    for eta, diameter in grid:
-        cell_dir = out_dir
-        if len(grid) > 1:
-            cell_dir = out_dir / f"eta{eta if eta is not None else 'auto'}_D{diameter if diameter is not None else 'auto'}"
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        for seed in cfg.run.seeds:
-            if seed not in problems:
-                problems[seed] = build_problem(cfg.problem, cfg.topology.n, seed, dataset)
-            problem = problems[seed]
-            plan = resolve_plan(cfg, matrix, problem, seed, eta, diameter)
-            result = RunResult(
-                seed=seed, eta=plan.eta, D=plan.D, R=plan.R, K=plan.K,
-                T=plan.T, eps_prime=plan.eps_prime,
-            )
-            trace_path = cell_dir / f"trace_{seed}.csv"
-            result.trace_path = str(trace_path)
-            probe_cfg = GoldsteinProbeConfig(
-                radius=plan.delta,
-                num_smoothing_samples=cfg.run.goldstein_samples,
-                probe_point_policy=cfg.run.probe_policy,
-            )
-            final_probe = replace(probe_cfg, num_smoothing_samples=cfg.run.goldstein_final_samples)
-            try:
-                with MetricsSink(str(trace_path)) as sink:
-                    outputs = driver(
-                        plan,
-                        problem,
-                        matrix,
-                        sink,
-                        metrics_every=cfg.run.metrics_every,
-                        goldstein_cfg=probe_cfg if cfg.run.goldstein_every > 0 else None,
-                        goldstein_every=cfg.run.goldstein_every,
-                    )
-                result.final_goldstein = float(
-                    _final_goldstein(problem, outputs.w_out, final_probe, seed)
+    for trace_path, plan, problem in runs:
+        trace_path.parent.mkdir(parents=True, exist_ok=True)
+        result = RunResult(
+            seed=plan.seed, eta=plan.eta, D=plan.D, R=plan.R, K=plan.K,
+            T=plan.T, eps_prime=plan.eps_prime, trace_path=str(trace_path),
+        )
+        probe_cfg = GoldsteinProbeConfig(
+            radius=plan.delta,
+            num_smoothing_samples=cfg.run.goldstein_samples,
+            probe_point_policy=cfg.run.probe_policy,
+        )
+        final_probe = replace(probe_cfg, num_smoothing_samples=cfg.run.goldstein_final_samples)
+        try:
+            with MetricsSink(str(trace_path)) as sink:
+                outputs = driver(
+                    plan,
+                    problem,
+                    matrix,
+                    sink,
+                    metrics_every=cfg.run.metrics_every,
+                    goldstein_cfg=probe_cfg if cfg.run.goldstein_every > 0 else None,
+                    goldstein_every=cfg.run.goldstein_every,
                 )
-                result.final_objective = float(problem.full_value(outputs.w_out.mean(axis=0)))
-            except Exception as exc:  # recorded per seed; sweep continues
-                result.error = f"{type(exc).__name__}: {exc}"
-                last_error = exc
-                summary.runs.append(result)
-                print(f"seed {seed} failed: {result.error}", file=sys.stderr)
-                continue
-            summary.runs.append(replace(result, **asdict(outputs.counters)))
+            result.final_goldstein = float(
+                _final_goldstein(problem, outputs.w_out, final_probe, plan.seed)
+            )
+            result.final_objective = float(problem.full_value(outputs.w_out.mean(axis=0)))
+        except Exception as exc:  # recorded per seed; sweep continues
+            result.error = f"{type(exc).__name__}: {exc}"
+            last_error = exc
+            summary.runs.append(result)
+            print(f"seed {plan.seed} failed: {result.error}", file=sys.stderr)
+            continue
+        summary.runs.append(replace(result, **asdict(outputs.counters)))
 
     summary.aggregate = _aggregate(summary.runs)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -532,23 +499,7 @@ def _final_goldstein(problem, w_out: np.ndarray, cfg: GoldsteinProbeConfig, seed
 
 
 def _format_plan(plan: RunPlan, method: str) -> str:
-    pairs = [
-        ("method", method),
-        ("oracle_type", plan.oracle_type),
-        ("n", plan.n),
-        ("d", plan.d),
-        ("delta", plan.delta),
-        ("epsilon", plan.epsilon),
-        ("delta_prime", plan.delta_prime),
-        ("K", plan.K),
-        ("T", plan.T),
-        ("R", plan.R),
-        ("eta", plan.eta),
-        ("D", plan.D),
-        ("eps_prime", plan.eps_prime),
-        ("consensus_guaranteed", plan.consensus_guaranteed),
-        ("seed", plan.seed),
-    ]
+    pairs = [("method", method)] + [(f.name, getattr(plan, f.name)) for f in fields(RunPlan)]
     return "\n".join(f"{k} = {v}" for k, v in pairs)
 
 
@@ -609,9 +560,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run every (grid cell, seed) in a config")
     p_run.add_argument("config")
-    p_run.add_argument("--dry-run", action="store_true", help="print resolved plans only")
+    p_run.add_argument("--dry-run", action="store_true", help="print every plan, run nothing")
 
-    p_plan = sub.add_parser("plan", help="print the resolved run plan (dry run)")
+    p_plan = sub.add_parser("plan", help="print every (grid cell, seed) plan (dry run)")
     p_plan.add_argument("config")
 
     p_cmp = sub.add_parser("compare", help="merge traces into a long-format CSV")
@@ -638,8 +589,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in ("run", "plan"):
             cfg = parse_config(args.config)
-            dry = args.command == "plan" or getattr(args, "dry_run", False)
-            run_experiment(cfg, dry_run=dry)
+            if args.command == "plan" or args.dry_run:
+                _, _, runs = plan_experiment(cfg)
+                print("\n\n".join(_format_plan(plan, cfg.algorithm.method) for _, plan, _ in runs))
+            else:
+                run_experiment(cfg)
             return 0
         if args.command == "compare":
             labels = args.labels.split(",") if args.labels else None

@@ -113,19 +113,6 @@ class RunPlan:
         return (self.D + self.eps_prime) * self.eps_prime / (self.D - self.eps_prime)
 
 
-@dataclass(frozen=True)
-class PlanOverrides:
-    """Direct parameter overrides, for grid-tuned runs far from the theory
-    settings; any field left None is derived by the planner."""
-
-    eta: float | None = None
-    D: float | None = None
-    R: int | None = None
-    K: int | None = None
-    T: int | None = None
-    eps_prime: float | None = None
-
-
 def plan_parameters(
     delta: float,
     epsilon: float,
@@ -141,7 +128,12 @@ def plan_parameters(
     c0: float = 1.0,
     nu: float = 1.0,
     delta_prime: float | None = None,
-    overrides: PlanOverrides | None = None,
+    eta: float | None = None,
+    D: float | None = None,
+    R: int | None = None,
+    K: int | None = None,
+    T: int | None = None,
+    eps_prime: float | None = None,
     per_client_selector: bool = False,
 ) -> RunPlan:
     """Derive a RunPlan from the target accuracy (delta, epsilon).
@@ -155,9 +147,12 @@ def plan_parameters(
     h3 (zeroth), and R the planned gossip round count for (gamma, n, D, eps').
 
     sigma defaults to G and nu (initial suboptimality scale) to 1; both only
-    move the planned T/K magnitudes, never loop correctness. Overrides are
-    applied field-wise; quantities derived from an overridden field use the
-    overridden value.
+    move the planned T/K magnitudes, never loop correctness.
+
+    The keyword arguments eta, D, R, K, T and eps_prime, when given, replace
+    the planned value of the same name, for grid-tuned runs far from the
+    theory settings; each one left None is planned as above, from the
+    given values where it depends on them (D from an overridden T, say).
     """
     if min(delta, epsilon, L, G) <= 0:
         raise PlanError("delta, epsilon, L, G must all be > 0")
@@ -167,7 +162,6 @@ def plan_parameters(
         raise PlanError("n and d must be >= 1")
     if oracle_type not in ORACLE_TYPES:
         raise PlanError(f"oracle_type must be one of {ORACLE_TYPES}, got {oracle_type!r}")
-    ov = overrides or PlanOverrides()
     if sigma is None:
         sigma = G
 
@@ -181,14 +175,12 @@ def plan_parameters(
         t_formula = max(math.ceil(9.0 * h4 * h4 * d / epsilon**2), 7)
         grad_scale = h3
 
-    T = int(ov.T) if ov.T is not None else t_formula
-    K = int(ov.K) if ov.K is not None else math.ceil(24.0 * (nu + L) / (delta * epsilon))
-    D = float(ov.D) if ov.D is not None else delta / (4.0 * T)
-    eta = float(ov.eta) if ov.eta is not None else D / (G * math.sqrt(T))
+    T = t_formula if T is None else int(T)
+    K = math.ceil(24.0 * (nu + L) / (delta * epsilon)) if K is None else int(K)
+    D = delta / (4.0 * T) if D is None else float(D)
+    eta = D / (G * math.sqrt(T)) if eta is None else float(eta)
 
-    if ov.eps_prime is not None:
-        eps_prime = float(ov.eps_prime)
-    else:
+    if eps_prime is None:
         if T > 6:
             cap_geometry = (T - 6) / (3.0 * T + 6.0) * D
         else:
@@ -199,13 +191,14 @@ def plan_parameters(
             + 10.0 * grad_scale * T**1.5 / delta
         )
         eps_prime = min(cap_geometry, cap_accuracy)
+    eps_prime = float(eps_prime)
     if not 0 < eps_prime < D:
         raise PlanError(
             f"resolved eps_prime = {eps_prime} outside (0, D = {D})"
         )
 
     planned_r = 1 if n == 1 else plan_rounds(gamma, n, D, eps_prime)
-    R = int(ov.R) if ov.R is not None else planned_r
+    R = planned_r if R is None else int(R)
 
     return RunPlan(
         delta=delta,

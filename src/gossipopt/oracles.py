@@ -22,7 +22,6 @@ active branch, tied max pieces take the first piece.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -75,11 +74,6 @@ def load_libsvm(path: str, d_hint: int) -> list[DataSample]:
     """
     with open(path, "r", encoding="ascii") as fh:
         return _parse_lines(fh, d_hint)
-
-
-def parse_libsvm_lines(text: str, d_hint: int) -> list[DataSample]:
-    # split at line ends only, as iterating the file does
-    return _parse_lines(io.StringIO(text, newline=None), d_hint)
 
 
 def _parse_lines(lines, d_hint: int) -> list[DataSample]:

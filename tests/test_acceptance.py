@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from gossipopt.core import (
-    PlanOverrides,
     RunPlan,
     inner_update,
     plan_parameters,
@@ -28,7 +27,6 @@ from gossipopt.oracles import (
     LibsvmParseError,
     PiecewiseProblem,
     load_libsvm,
-    parse_libsvm_lines,
     serialize_libsvm,
     shard,
     zeroth_order_estimator,
@@ -39,6 +37,7 @@ from gossip_bounds import consensus_sq_error, contraction_bound
 from mc_smoothing import mc_smoothed_gradient
 from single_machine_reference import run_reference
 from test_core import pgd_ball_argmin
+from text_forms import parse_libsvm_lines
 
 
 @contextmanager
@@ -122,7 +121,7 @@ def test_criterion_4_consensus_guarantees():
         problem = PiecewiseProblem.generate(n=n, d=d, samples_per_client=3, seed=17)
         plan = plan_parameters(
             0.4, 0.9, n, d, matrix.gamma, problem.lipschitz_L, problem.grad_bound_G,
-            "first", seed=7, overrides=PlanOverrides(K=2, T=150),
+            "first", seed=7, K=2, T=150,
         )
         assert plan.consensus_guaranteed
         y_bound = plan.y_consensus_bound()

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ from gossipopt.cli import (
     main,
     parse_config,
     run_experiment,
-    serialize_config,
 )
+from gossipopt.core import RunPlan
+from text_forms import serialize_config
 
 MINIMAL = """\
 [problem]
@@ -122,14 +124,21 @@ def test_config_round_trip(tmp_path):
         assert parse_config(str(path2)) == cfg, name
 
 
-def test_readme_example_config_parses(tmp_path):
+def test_readme_example_config_parses(tmp_path, synthetic_libsvm_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    # the example's dataset is the make-data set the session fixture writes
+    assert "make-data data/sparse123.libsvm --samples 8000 --dim 123 --seed 7" in readme
+    assert "dataset = data/sparse123.libsvm" in example
     path = tmp_path / "readme.ini"
-    path.write_text(example)
+    path.write_text(example.replace("data/sparse123.libsvm", synthetic_libsvm_path))
     cfg = parse_config(str(path))
     assert cfg.algorithm.eta == (0.001, 0.005, 0.01)
     assert cfg.run.seeds == (1, 2, 3)
+    monkeypatch.chdir(tmp_path)  # the example's out_dir is relative
+    assert main(["plan", str(path)]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n\n")) == 3 * 3 * 3  # eta x D x seeds
+    assert os.listdir(tmp_path) == ["readme.ini"]
 
 
 def test_unknown_keys_and_sections_rejected(tmp_path):
@@ -187,18 +196,44 @@ def test_type_errors_name_the_key(tmp_path):
         ("problem.gen_seed", "-3"),
         ("run.seeds", "-1"),
         ("run.seeds", "1, -2"),
+        ("algorithm.sigma", "-2"),
+        ("algorithm.nu", "-1"),
+        ("algorithm.c0", "0"),
+        ("algorithm.c0", "-1"),
+        ("algorithm.delta_prime", "-0.1"),
+        pytest.param("algorithm.delta_prime", "0\noracle = zeroth",
+                     id="algorithm.delta_prime-0-zeroth"),
+        ("problem.lipschitz", "0"),
+        ("problem.lipschitz", "-1"),
+        ("problem.grad_bound", "0"),
     ],
 )
 def test_bad_probe_and_data_values_rejected_before_any_run(tmp_path, key, value):
     section, name = key.split(".")
-    # the key goes right under its section header, in place of any line
-    # MINIMAL already has for it, so that it is set only once
-    lines = [line for line in MINIMAL.splitlines() if not line.startswith(f"{name} = ")]
-    lines.insert(lines.index(f"[{section}]") + 1, f"{name} = {value}")
+    # the key (and any further line of its value) goes right under its
+    # section header, in place of any line MINIMAL already has for the same
+    # name, so that each name is set only once
+    setting = f"{name} = {value}".splitlines()
+    names = {line.split(" = ")[0] for line in setting}
+    lines = [line for line in MINIMAL.splitlines() if line.split(" = ")[0] not in names]
+    at = lines.index(f"[{section}]") + 1
+    lines[at:at] = setting
     path, out = write_config(tmp_path, "\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=f"^{key}: must be "):
         parse_config(path)
-    assert main(["run", path]) == 1
+    for command in ("run", "plan"):
+        assert main([command, path]) == 1
+    assert not out.exists()
+
+
+def test_plan_rejected_by_the_planner_writes_nothing(tmp_path):
+    # only the planner sees that eps_prime is not below its D = delta / (4 T)
+    text = MINIMAL.replace("D = 0.01\n", "eps_prime = 0.4\n").replace("T = 20", "T = 100")
+    path, out = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=r"^algorithm: resolved eps_prime = 0.4 outside"):
+        run_experiment(parse_config(path))
+    for command in ("run", "plan"):
+        assert main([command, path]) == 1
     assert not out.exists()
 
 
@@ -448,13 +483,23 @@ def test_output_dir_env_override(tmp_path):
 
 
 def test_dry_run_prints_resolved_plan(tmp_path, capsys):
-    path, out = write_config(tmp_path)
+    path, out = write_config(tmp_path, MINIMAL.replace("eta = 0.002", "eta = 0.002, 0.004"))
     assert main(["run", path, "--dry-run"]) == 0
-    text = capsys.readouterr().out
-    for key in ("K = 2", "T = 20", "R = 2", "eta = 0.002", "D = 0.01", "eps_prime ="):
-        assert key in text
-    assert not out.exists()
+    printed = capsys.readouterr().out
     assert main(["plan", path]) == 0
+    assert capsys.readouterr().out == printed
+    assert not out.exists()
+    # one block per (grid cell, seed), cells outer, each naming every plan field
+    blocks = [dict(line.split(" = ") for line in block.splitlines())
+              for block in printed.strip().split("\n\n")]
+    assert [list(b) for b in blocks] == [["method"] + [f.name for f in fields(RunPlan)]] * 4
+    assert [(b["eta"], b["seed"]) for b in blocks] == [
+        ("0.002", "1"), ("0.002", "2"), ("0.004", "1"), ("0.004", "2")
+    ]
+    for b in blocks:
+        assert (b["method"], b["K"], b["T"], b["R"], b["D"], b["per_client_selector"]) == (
+            "docs", "2", "20", "2", "0.01", "False"
+        )
 
 
 def test_baseline_reports_the_one_round_it_runs(tmp_path, capsys):

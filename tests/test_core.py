@@ -10,7 +10,6 @@ from gossipopt.core import (
     ORACLE_TYPES,
     DivergenceError,
     PlanError,
-    PlanOverrides,
     RunPlan,
     inner_update,
     plan_parameters,
@@ -98,18 +97,13 @@ def test_inner_update_matches_projected_gradient_oracle(rng):
 
 
 def test_planned_diameter_follows_quarter_delta_over_t():
-    plan = plan_parameters(
-        0.1, 0.5, 8, 10, 0.5, 1.0, 1.0, "first", overrides=PlanOverrides(T=100)
-    )
+    plan = plan_parameters(0.1, 0.5, 8, 10, 0.5, 1.0, 1.0, "first", T=100)
     assert plan.T == 100
     assert plan.D == pytest.approx(0.1 / 400, rel=1e-15)  # 2.5e-4
 
 
 def test_planned_step_size_from_diameter():
-    plan = plan_parameters(
-        0.1, 0.5, 8, 10, 0.5, 1.0, 1.0, "first",
-        overrides=PlanOverrides(T=100),
-    )
+    plan = plan_parameters(0.1, 0.5, 8, 10, 0.5, 1.0, 1.0, "first", T=100)
     assert plan.eta == pytest.approx(plan.D / (1.0 * 10.0), rel=1e-15)  # 2.5e-5
 
 
@@ -145,14 +139,9 @@ def test_planner_eps_prime_below_diameter_and_r_planned():
 
 def test_planner_override_r_flags_guarantee():
     base = plan_parameters(0.3, 0.8, 16, 12, 0.038, 1.5, 1.5, "first")
-    weak = plan_parameters(
-        0.3, 0.8, 16, 12, 0.038, 1.5, 1.5, "first", overrides=PlanOverrides(R=2)
-    )
+    weak = plan_parameters(0.3, 0.8, 16, 12, 0.038, 1.5, 1.5, "first", R=2)
     assert not weak.consensus_guaranteed
-    strong = plan_parameters(
-        0.3, 0.8, 16, 12, 0.038, 1.5, 1.5, "first",
-        overrides=PlanOverrides(R=base.R + 5),
-    )
+    strong = plan_parameters(0.3, 0.8, 16, 12, 0.038, 1.5, 1.5, "first", R=base.R + 5)
     assert strong.consensus_guaranteed
 
 
@@ -164,10 +153,7 @@ def test_planner_input_validation():
     with pytest.raises(PlanError):
         plan_parameters(0.5, 0.5, 4, 3, 0.5, 1.0, 1.0, "second")
     with pytest.raises(PlanError):
-        plan_parameters(
-            0.5, 0.5, 4, 3, 0.5, 1.0, 1.0, "first",
-            overrides=PlanOverrides(D=0.01, eps_prime=0.02),
-        )
+        plan_parameters(0.5, 0.5, 4, 3, 0.5, 1.0, 1.0, "first", D=0.01, eps_prime=0.02)
 
 
 def test_run_plan_invariants():
@@ -357,7 +343,7 @@ def test_consensus_bounds_hold_with_planned_rounds():
     matrix = build_ring(n, 1)
     plan = plan_parameters(
         0.4, 0.9, n, d, matrix.gamma, problem.lipschitz_L, problem.grad_bound_G,
-        "first", seed=3, overrides=PlanOverrides(K=2, T=30),
+        "first", seed=3, K=2, T=30,
     )
     assert plan.consensus_guaranteed
     bound = plan.y_consensus_bound()

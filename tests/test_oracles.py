@@ -11,7 +11,6 @@ from gossipopt.oracles import (
     PiecewiseProblem,
     first_order_estimator,
     load_libsvm,
-    parse_libsvm_lines,
     serialize_libsvm,
     shard,
     subsample,
@@ -21,6 +20,7 @@ from gossipopt.oracles import (
 from gossipopt.rng import stream
 from mc_smoothing import mc_smoothed_gradient
 from quadrature_smoothing import smoothed_gradient
+from text_forms import parse_libsvm_lines
 
 
 def make_svm(rng, n=2, per_client=3, d=6, lam=1e-3, alpha=2.0):
