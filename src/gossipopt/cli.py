@@ -266,6 +266,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("run.seeds: at least one seed is required")
     if any(seed < 0 for seed in run.seeds):
         raise ConfigError("run.seeds: must be >= 0")
+    repeated = [seed for i, seed in enumerate(run.seeds) if seed in run.seeds[:i]]
+    if repeated:
+        # each seed's run writes trace_<seed>.csv, so a repeat would overwrite it
+        raise ConfigError(f"run.seeds: must be distinct; seed {repeated[0]} is repeated")
     if run.metrics_every < 1:
         raise ConfigError("run.metrics_every: must be >= 1")
     if run.goldstein_every < 0:
@@ -315,7 +319,12 @@ def load_dataset(cfg: ProblemConfig):
 
 def build_problem(cfg: ProblemConfig, n: int, seed: int, data):
     if cfg.kind == "synthetic_piecewise":
-        return PiecewiseProblem.generate(n, cfg.d, cfg.samples_per_client, cfg.gen_seed)
+        problem = PiecewiseProblem.generate(n, cfg.d, cfg.samples_per_client, cfg.gen_seed)
+        return replace(
+            problem,
+            lipschitz_L=cfg.lipschitz or problem.lipschitz_L,
+            grad_bound_G=cfg.grad_bound or problem.grad_bound_G,
+        )
     shards = shard(data, n, seed)
     return CappedHingeSvmProblem.from_shards(
         shards,

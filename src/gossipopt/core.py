@@ -31,6 +31,7 @@ from .metrics import (
     InvariantViolation,
     MetricsRecord,
     MetricsSink,
+    _max_row_distance,
     consensus_errors,
     goldstein_probe,
 )
@@ -227,7 +228,7 @@ def inner_update(delta_half: np.ndarray, g: np.ndarray, eta: float, D: float, n:
     A zero v maps to the zero vector.
     """
     v = delta_half - eta * g
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))  # what np.linalg.norm(v) computes, bit for bit
     if norm <= D:
         return n * v
     return (n * D / norm) * v
@@ -303,11 +304,12 @@ def run_docs(
         y = fast_gossip(gossip_cfg, x)
         out = estimator(problem, i, w[i], plan.delta_prime, rng_xi, rng_z)
         counters.charge(out)
-        delta = np.zeros_like(x)
-        delta[i] = inner_update(delta_half[i], out.g, plan.eta, plan.D, n)
-        upd_norm = float(np.linalg.norm(delta[i]))
+        delta = np.zeros(x.shape)
+        upd = inner_update(delta_half[i], out.g, plan.eta, plan.D, n)
+        delta[i] = upd
+        upd_norm = math.sqrt(upd.dot(upd))
         # non-finite states fall through to the divergence check
-        if np.isfinite(upd_norm):
+        if math.isfinite(upd_norm):
             _require("clipped update norm", upd_norm, n * plan.D, k, t, rtol=1e-12)
         return i, x, y, delta, fast_gossip(gossip_cfg, delta)
 
@@ -316,10 +318,10 @@ def run_docs(
     def check_consensus(k, t, x, y, delta_half):
         _, max_delta_err = consensus_errors(x, delta_half)
         _require("mixed-update consensus", max_delta_err, plan.eps_prime, k, t)
-        max_delta_norm = float(np.linalg.norm(delta_half, axis=1).max())
-        _require("mixed update norm", max_delta_norm, plan.D + plan.eps_prime, k, t)
-        y_err = float(np.linalg.norm(y - y.mean(axis=0, keepdims=True), axis=1).max())
-        _require("iterate consensus", y_err, y_bound, k, t)
+        sq_norms = np.add.reduce(delta_half * delta_half, axis=1)
+        _require("mixed update norm", math.sqrt(np.maximum.reduce(sq_norms)),
+                 plan.D + plan.eps_prime, k, t)
+        _require("iterate consensus", _max_row_distance(y), y_bound, k, t)
 
     check = check_consensus if plan.consensus_guaranteed else None
     return _epoch_loop(plan, problem, step, 2 * plan.R, check, sink, metrics_every,
@@ -432,7 +434,7 @@ def _epoch_loop(
             counters.computation_rounds += 1
             counters.communication_rounds += comm_per_step
 
-            if not np.all(np.isfinite(y)) or not np.all(np.isfinite(delta_half)):
+            if not (np.isfinite(y).all() and np.isfinite(delta_half).all()):
                 bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(delta_half).all(axis=1))
                 raise DivergenceError(k, t, int(np.argmax(bad)))
             if check is not None:

@@ -13,6 +13,7 @@ solve is attempted.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -110,14 +111,29 @@ class MetricsSink:
             pass
 
 
+# The per-step reductions below are the ufunc reductions that
+# np.linalg.norm(a, axis=1), a.mean(axis=0) and ndarray.max run underneath,
+# without their Python wrappers, so every result is bit-for-bit what those
+# calls return; max(sqrt(s)) == sqrt(max(s)) since sqrt is monotone and
+# correctly rounded.
+
+
+def _row_sq_distances(a: np.ndarray) -> np.ndarray:
+    """Squared distance of each row of the (n, d) stack a to the row mean."""
+    c = a - np.add.reduce(a, axis=0) / a.shape[0]
+    return np.add.reduce(c * c, axis=1)
+
+
+def _max_row_distance(a: np.ndarray) -> float:
+    """Largest distance of a row of the (n, d) stack a to the row mean."""
+    return math.sqrt(np.maximum.reduce(_row_sq_distances(a)))
+
+
 def consensus_errors(x: np.ndarray, delta_half: np.ndarray) -> tuple[float, float]:
     """(mean client distance of x to its mean, max client distance of the
     mixed updates to their mean)."""
-    xc = x - x.mean(axis=0, keepdims=True)
-    dc = delta_half - delta_half.mean(axis=0, keepdims=True)
-    mean_x = float(np.linalg.norm(xc, axis=1).mean())
-    max_delta = float(np.linalg.norm(dc, axis=1).max())
-    return mean_x, max_delta
+    mean_x = float(np.add.reduce(np.sqrt(_row_sq_distances(x))) / x.shape[0])
+    return mean_x, _max_row_distance(delta_half)
 
 
 PROBE_POLICIES = ("mean_of_clients", "client_0", "all_clients")

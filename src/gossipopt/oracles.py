@@ -236,16 +236,19 @@ class CappedHingeSvmProblem(_ShardedProblem):
     """Binary classifier with hinge loss and capped-l1 penalty.
 
     Per-sample loss F(x; (a, b)) = max(1 - b a'x, 0) + lam * sum_j
-    min(|x_j|, alpha); each client owns a contiguous row block of the dense
-    (m, d) feature matrix. Immutable after construction.
+    min(|x_j|, alpha). The problem keeps one dense (m, d) matrix, signed,
+    whose row s is b_s * a_s, so a margin b a'x is one product with it;
+    negating by b = +-1 is exact, so every value equals the one computed
+    from a and b. Each client owns a contiguous row block of it; labels
+    keeps the b_s. Immutable after construction.
     """
 
     d: int
     n: int
     lam: float
     alpha: float
-    features: np.ndarray = field(repr=False)  # (m, d)
-    labels: np.ndarray = field(repr=False)  # (m,)
+    signed: np.ndarray = field(repr=False)  # (m, d), rows b_s * a_s
+    labels: np.ndarray = field(repr=False)  # (m,), b_s in {-1, +1}
     slices: list[slice] = field(repr=False)
     lipschitz_L: float = 0.0
     grad_bound_G: float = 0.0
@@ -272,24 +275,25 @@ class CappedHingeSvmProblem(_ShardedProblem):
             lam = 1e-5 / m
         if lam <= 0 or alpha <= 0:
             raise OracleError("lam and alpha must be positive")
-        features = np.zeros((m, d))
+        signed = np.zeros((m, d))
         labels = np.empty(m)
         row = 0
         for shard_samples in shards:
             for s in shard_samples:
                 if len(s.indices) and s.indices[-1] >= d:
                     raise OracleError(f"sample index {s.indices[-1]} >= d = {d}")
-                features[row, s.indices] = s.values
+                signed[row, s.indices] = s.values
                 labels[row] = s.label
                 row += 1
-        row_norms = np.linalg.norm(features, axis=1)
+        signed *= labels[:, None]
+        row_norms = np.linalg.norm(signed, axis=1)
         bound = float(row_norms.max()) + lam * np.sqrt(d)
         return cls(
             d=d,
             n=len(shards),
             lam=lam,
             alpha=alpha,
-            features=features,
+            signed=signed,
             labels=labels,
             slices=_client_slices(sizes),
             lipschitz_L=lipschitz_L if lipschitz_L is not None else bound,
@@ -297,25 +301,22 @@ class CappedHingeSvmProblem(_ShardedProblem):
         )
 
     def sample_value(self, client: int, j: int, x: np.ndarray) -> float:
-        row = self._row(client, j)
-        margin = self.labels[row] * float(self.features[row] @ x)
+        margin = float(self.signed[self._row(client, j)] @ x)
         hinge = max(1.0 - margin, 0.0)
         pen = self.lam * float(np.minimum(np.abs(x), self.alpha).sum())
         return hinge + pen
 
     def sample_subgradient(self, client: int, j: int, x: np.ndarray) -> np.ndarray:
-        row = self._row(client, j)
-        a = self.features[row]
-        b = self.labels[row]
+        ba = self.signed[self._row(client, j)]
         g = self.lam * np.sign(x) * (np.abs(x) < self.alpha)
-        if b * float(a @ x) <= 1.0:
-            g = g - b * a
+        if float(ba @ x) <= 1.0:
+            g = g - ba
         return g
 
     # The benchmark wraps full_value where it stands, on this class, so it
     # stays defined in the class body.
     def full_value(self, x: np.ndarray) -> float:
-        margins = (self.features @ x) * self.labels
+        margins = self.signed @ x
         hinge = np.maximum(1.0 - margins, 0.0).mean()
         pen = self.lam * np.minimum(np.abs(x), self.alpha).sum()
         return float(hinge + pen)
@@ -324,19 +325,18 @@ class CappedHingeSvmProblem(_ShardedProblem):
     # at margin <= 1; the penalty subgradient is lam * sign(x_j) strictly
     # inside the cap |x_j| < alpha and 0 outside.
     def full_subgradients(self, X: np.ndarray) -> np.ndarray:
-        m = self.features.shape[0]
+        q, m = X.shape[0], self.signed.shape[0]
         out = np.empty_like(X)
-        # chunk the (q, m) activity mask to bound memory
-        step = max(1, int(8_000_000 // max(m, 1)))
-        for lo in range(0, X.shape[0], step):
-            hi = min(lo + step, X.shape[0])
-            # margins, then the hinge coefficients, in one (chunk, m) buffer
-            coef = X[lo:hi] @ self.features.T
-            coef *= self.labels
-            active = coef <= 1.0
-            np.multiply(active, self.labels, out=coef)
-            np.negative(coef, out=coef)
-            out[lo:hi] = coef @ self.features / m
+        # the (q, m) margins in chunks of about 8 MB and near-equal size, so
+        # that a chunk is one row only when X is (BLAS multiplies one row
+        # with its vector kernel, which rounds differently)
+        cuts = np.linspace(0, q, -(-q * m // 1_000_000) + 1).astype(int)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            coef = X[lo:hi] @ self.signed.T
+            # the hinge mask, 1.0 where the margin is <= 1, over the margins
+            np.less_equal(coef, 1.0, out=coef, casting="unsafe")
+            np.matmul(coef, self.signed, out=out[lo:hi])
+        out /= -m  # an active row contributes the hinge subgradient -b_s * a_s
         out += self.lam * np.sign(X) * (np.abs(X) < self.alpha)
         return out
 

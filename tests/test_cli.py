@@ -14,6 +14,7 @@ from gossipopt.cli import (
     emit_comparison,
     main,
     parse_config,
+    plan_experiment,
     run_experiment,
 )
 from gossipopt.core import RunPlan
@@ -196,6 +197,8 @@ def test_type_errors_name_the_key(tmp_path):
         ("problem.gen_seed", "-3"),
         ("run.seeds", "-1"),
         ("run.seeds", "1, -2"),
+        ("run.seeds", "1, 1"),
+        ("run.seeds", "3, 1, 3"),
         ("algorithm.sigma", "-2"),
         ("algorithm.nu", "-1"),
         ("algorithm.c0", "0"),
@@ -392,7 +395,7 @@ out_dir = {out}
     prob_a, prob_b = (
         build_problem(c.problem, 4, 3, load_dataset(c.problem)) for c in cfgs.values()
     )
-    assert np.array_equal(prob_a.features, prob_b.features)
+    assert np.array_equal(prob_a.signed, prob_b.signed)
     assert np.array_equal(prob_a.labels, prob_b.labels)
 
 
@@ -513,6 +516,19 @@ def test_baseline_reports_the_one_round_it_runs(tmp_path, capsys):
     payload = json.loads((out / "summary.json").read_text())
     assert [r["R"] for r in payload["runs"]] == [1, 1]
     assert all(r["communication_rounds"] == 2 * 40 for r in payload["runs"])
+
+
+def test_synthetic_problem_takes_the_lipschitz_and_grad_bound_overrides(tmp_path, capsys):
+    path, _ = write_config(tmp_path)
+    assert main(["plan", path]) == 0
+    planned = capsys.readouterr().out
+    for key, attr in (("lipschitz", "lipschitz_L"), ("grad_bound", "grad_bound_G")):
+        text = MINIMAL.replace("gen_seed = 5\n", f"gen_seed = 5\n{key} = 50\n")
+        path, _ = write_config(tmp_path, text, name=f"{key}.ini")
+        assert main(["plan", path]) == 0
+        assert capsys.readouterr().out != planned, key
+        for _, _, problem in plan_experiment(parse_config(path))[2]:
+            assert getattr(problem, attr) == 50.0
 
 
 def test_cli_exit_codes(tmp_path):

@@ -78,7 +78,7 @@ def test_svm_value_matches_high_precision_scalar_reimplementation(rng):
         i = int(rng.integers(p.n))
         j = int(rng.integers(p.shard_size(i)))
         row = p.slices[i].start + j
-        a, b = p.features[row], p.labels[row]
+        a, b = p.labels[row] * p.signed[row], p.labels[row]
         margin = mp.mpf(0)
         for k in range(8):
             margin += mp.mpf(a[k]) * mp.mpf(x[k])
@@ -92,7 +92,7 @@ def test_svm_subgradient_flat_region(rng):
     p = make_svm(rng, lam=1e-3, alpha=0.5)
     i, j = 0, 0
     row = p.slices[i].start + j
-    a, b = p.features[row], p.labels[row]
+    a, b = p.labels[row] * p.signed[row], p.labels[row]
     # pick x whose coordinates all exceed the cap and whose margin is > 1
     x = np.sign(b * a + (a == 0)) * (p.alpha + 1.0)
     if b * float(a @ x) <= 1.0:
@@ -106,7 +106,8 @@ def test_svm_subgradient_at_origin_uses_stated_tie_breaks(rng):
     x = np.zeros(p.d)
     for j in range(p.shard_size(1)):
         row = p.slices[1].start + j
-        expected = -p.labels[row] * p.features[row]  # sign(0) = 0 kills the penalty
+        a = p.labels[row] * p.signed[row]
+        expected = -p.labels[row] * a  # sign(0) = 0 kills the penalty
         assert np.array_equal(p.sample_subgradient(1, j, x), expected)
 
 
@@ -119,7 +120,7 @@ def test_svm_subgradient_matches_central_differences(rng):
         i = int(rng.integers(p.n))
         j = int(rng.integers(p.shard_size(i)))
         row = p.slices[i].start + j
-        a, b = p.features[row], p.labels[row]
+        a, b = p.labels[row] * p.signed[row], p.labels[row]
         margin = b * float(a @ x)
         # stay away from the kinks so the loss is differentiable at x
         if abs(margin - 1.0) < 1e-3 or np.any(np.abs(np.abs(x) - p.alpha) < 1e-3):
@@ -146,13 +147,52 @@ def test_svm_full_subgradients_average_the_sample_subgradients(rng):
     edge[0] = -0.5  # the tied sample's margin is exactly 1: the hinge is active
     edge[1] = alpha  # on the cap the penalty is flat
     edge[3] = -alpha
-    assert p.labels[0] * float(p.features[0] @ edge) == 1.0
+    assert p.labels[0] * float((p.labels[0] * p.signed[0]) @ edge) == 1.0
     X = np.vstack([edge, np.zeros(d), rng.standard_normal((5, d))])
-    m = p.features.shape[0]
+    m = p.signed.shape[0]
     for x, g in zip(X, p.full_subgradients(X)):
         rows = [p.sample_subgradient(i, j, x) for i in range(p.n) for j in range(p.shard_size(i))]
         assert len(rows) == m
         assert np.allclose(g, np.mean(rows, axis=0), rtol=0, atol=1e-15)
+
+
+def dense_reference_subgradients(p, X):
+    """The mean subgradient at each row of X from the raw rows a_s and
+    labels b_s, with two dense products and no chunking."""
+    a = p.labels[:, None] * p.signed
+    margins = (X @ a.T) * p.labels
+    coef = -((margins <= 1.0) * p.labels)
+    return coef @ a / a.shape[0] + p.lam * np.sign(X) * (np.abs(X) < p.alpha)
+
+
+def test_svm_full_subgradients_match_dense_reference(rng):
+    d, alpha, m = 6, 0.5, 8000
+    # margin exactly 1 at `edge` in any summation order: -1 * (2 * -0.5)
+    tied = DataSample(indices=np.array([0, 2]), values=np.array([2.0, 0.5]), label=-1)
+    samples = [tied]
+    for _ in range(m - 1):
+        idx = np.sort(rng.choice(d, size=3, replace=False)).astype(np.int64)
+        samples.append(DataSample(idx, rng.standard_normal(3), int(rng.choice([-1, 1]))))
+    p = CappedHingeSvmProblem.from_shards(
+        [samples[c::4] for c in range(4)], d, lam=1e-2, alpha=alpha
+    )
+    edge = np.zeros(d)
+    edge[0] = -0.5
+    edge[1] = alpha  # on the cap the penalty is flat
+    edge[3] = -alpha
+    assert p.labels[0] * float((p.labels[0] * p.signed[0]) @ edge) == 1.0
+    # the kernel takes the (q, m) margins in chunks of at most this many rows,
+    # so chunk + 1 points make its first two-chunk probe
+    chunk = 1_000_000 // m
+    for q in (1, chunk, chunk + 1):
+        X = np.vstack([edge, 2.0 * rng.standard_normal((q - 1, d))])
+        got = p.full_subgradients(X)
+        want = dense_reference_subgradients(p, X)
+        # the summation order over the m rows may differ between the two
+        # products, so allow m roundings of the largest term
+        tol = m * np.finfo(float).eps * np.abs(p.signed).max()
+        assert got.shape == want.shape == (q, d)
+        assert np.allclose(got, want, rtol=0, atol=tol), q
 
 
 def test_svm_index_errors():
@@ -444,7 +484,7 @@ def test_estimator_norm_bounds_per_draw(rng):
         j = int(stream(31, "xi", 1, t).integers(svm.shard_size(0)))
         g = first_order_estimator(svm, 0, w, 0.1, rng_xi, rng_z).g
         # client 0 owns the first rows, so its sample j is row j
-        bound = np.linalg.norm(svm.features[j]) + svm.lam * np.sqrt(svm.d)
+        bound = np.linalg.norm(svm.labels[j] * svm.signed[j]) + svm.lam * np.sqrt(svm.d)
         assert np.all(np.isfinite(g))
         assert np.linalg.norm(g) <= bound + 1e-12
 
