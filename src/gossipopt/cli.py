@@ -3,11 +3,11 @@
 Configs are sectioned key/value text (INI syntax, case-sensitive keys) with
 four sections: [problem], [topology], [algorithm], [run]. Each key is a
 field of its section's dataclass (ProblemConfig, TopologyConfig,
-AlgorithmConfig, RunSection) and is parsed by that field's type; keys that
-take fixed words list them in _CHOICES. eta and D accept comma-separated
-lists; the runner expands their cross product as a tuning grid. All
-randomness flows from [run] seeds; the same config and seed reproduce a
-byte-identical trace.
+AlgorithmConfig, RunSection) and is parsed by that field's type; the
+field's metadata declares the words the key takes or the range its value
+must lie in. eta and D accept comma-separated lists; the runner expands
+their cross product as a tuning grid. All randomness flows from [run]
+seeds; the same config and seed reproduce a byte-identical trace.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -18,9 +18,10 @@ import argparse
 import configparser
 import hashlib
 import json
+import operator
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,56 +64,68 @@ class ConfigError(ValueError):
 # -- configuration -----------------------------------------------------------
 
 
+def _at_least(least, *, default):
+    return field(default=default, metadata={"range": (">=", least)})
+
+
+def _above(bound, *, default):
+    return field(default=default, metadata={"range": (">", bound)})
+
+
+def _one_of(words, *, default):
+    return field(default=default, metadata={"words": words})
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
-    kind: str = "capped_l1_svm"
+    kind: str = _one_of(("capped_l1_svm", "synthetic_piecewise"), default="capped_l1_svm")
     dataset: str | None = None
-    d: int = 0
-    lam: float | None = None
-    alpha: float = 2.0
-    subsample: int | None = None
-    data_seed: int = 0
-    samples_per_client: int = 8
-    gen_seed: int = 7
-    lipschitz: float | None = None
-    grad_bound: float | None = None
+    d: int = _at_least(1, default=0)
+    lam: float | None = _above(0, default=None)
+    alpha: float = _above(0, default=2.0)
+    subsample: int | None = _at_least(1, default=None)
+    data_seed: int = _at_least(0, default=0)
+    samples_per_client: int = _at_least(1, default=8)
+    gen_seed: int = _at_least(0, default=7)
+    lipschitz: float | None = _above(0, default=None)
+    grad_bound: float | None = _above(0, default=None)
 
 
 @dataclass(frozen=True)
 class TopologyConfig:
-    kind: str = "ring"
-    n: int = 16
-    neighbors_per_side: int = 1
+    kind: str = _one_of(("ring", "complete", "file"), default="ring")
+    n: int = _at_least(1, default=16)
+    neighbors_per_side: int = _at_least(1, default=1)
     path: str | None = None
 
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
-    method: str = "docs"
-    oracle: str = "first"
-    delta: float = 0.5
-    epsilon: float = 0.5
-    delta_prime: float | None = None
-    eta: tuple[float, ...] | None = None
-    D: tuple[float, ...] | None = None
-    R: int | None = None
-    K: int | None = None
-    T: int | None = None
-    eps_prime: float | None = None
-    sigma: float | None = None
-    c0: float = 1.0
-    nu: float = 1.0
+    method: str = _one_of(("docs", "baseline"), default="docs")
+    oracle: str = _one_of(ORACLE_TYPES, default="first")
+    delta: float = _above(0, default=0.5)
+    epsilon: float = _above(0, default=0.5)
+    delta_prime: float | None = _at_least(0, default=None)
+    eta: tuple[float, ...] | None = _above(0, default=None)
+    D: tuple[float, ...] | None = _above(0, default=None)
+    R: int | None = _at_least(1, default=None)
+    K: int | None = _at_least(1, default=None)
+    T: int | None = _at_least(1, default=None)
+    eps_prime: float | None = _above(0, default=None)
+    sigma: float | None = _at_least(0, default=None)
+    c0: float = _above(0, default=1.0)
+    nu: float = _at_least(0, default=1.0)
     per_client_selector: bool = False
 
 
 @dataclass(frozen=True)
 class RunSection:
-    seeds: tuple[int, ...] = (1,)
-    metrics_every: int = 50
-    goldstein_every: int = 0
-    goldstein_samples: int = 64
-    goldstein_final_samples: int = 4096
-    probe_policy: str = "all_clients"
+    seeds: tuple[int, ...] = _at_least(0, default=(1,))
+    metrics_every: int = _at_least(1, default=50)
+    goldstein_every: int = _at_least(0, default=0)
+    goldstein_samples: int = _at_least(1, default=64)
+    goldstein_final_samples: int = _at_least(1, default=4096)
+    probe_policy: str = _one_of(PROBE_POLICIES, default="all_clients")
     out_dir: str = "runs/out"
 
 
@@ -129,16 +142,6 @@ _SECTIONS = {
     "topology": TopologyConfig,
     "algorithm": AlgorithmConfig,
     "run": RunSection,
-}
-
-# keys that take one of a fixed set of words; every other key is parsed by
-# the type annotation of its dataclass field
-_CHOICES: dict[str, tuple[str, ...]] = {
-    "problem.kind": ("capped_l1_svm", "synthetic_piecewise"),
-    "topology.kind": ("ring", "complete", "file"),
-    "algorithm.method": ("docs", "baseline"),
-    "algorithm.oracle": ORACLE_TYPES,
-    "run.probe_policy": PROBE_POLICIES,
 }
 
 _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -159,14 +162,14 @@ _PARSERS = {
 }
 
 
-def _convert(keypath: str, annotation: str, raw: str):
+def _convert(keypath: str, spec: Field, raw: str):
     raw = raw.strip()
-    choices = _CHOICES.get(keypath)
-    if choices is not None:
-        if raw not in choices:
-            raise ConfigError(f"{keypath}: expected one of {list(choices)}, got {raw!r}")
+    words = spec.metadata.get("words")
+    if words is not None:
+        if raw not in words:
+            raise ConfigError(f"{keypath}: expected one of {list(words)}, got {raw!r}")
         return raw
-    parse, expected = _PARSERS[annotation.removesuffix(" | None")]
+    parse, expected = _PARSERS[spec.type.removesuffix(" | None")]
     try:
         return parse(raw)
     except (KeyError, ValueError):
@@ -191,93 +194,58 @@ def parse_config(path: str) -> ExperimentConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        annotations = {f.name: f.type for f in fields(_SECTIONS[section])}
+        specs = {f.name: f for f in fields(_SECTIONS[section])}
         for key, raw in parser.items(section):
-            if key not in annotations:
+            if key not in specs:
                 raise ConfigError(f"unknown key {section}.{key}")
             if raw.strip() == "":
                 continue
-            values[section][key] = _convert(f"{section}.{key}", annotations[key], raw)
+            values[section][key] = _convert(f"{section}.{key}", specs[key], raw)
 
     cfg = ExperimentConfig(**{name: cls(**values[name]) for name, cls in _SECTIONS.items()})
+    _check_ranges(cfg)
     _validate(cfg)
     return cfg
 
 
+_HOLDS = {">=": operator.ge, ">": operator.gt}
+
+
+def _check_ranges(cfg: ExperimentConfig) -> None:
+    """Hold every set value, and every entry of a list, to the range declared
+    on its field. The comparison is written so that NaN fails it."""
+    for name in _SECTIONS:
+        section = getattr(cfg, name)
+        for spec in fields(section):
+            if "range" not in spec.metadata:
+                continue
+            op, bound = spec.metadata["range"]
+            value = getattr(section, spec.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(v is not None and not _HOLDS[op](v, bound) for v in entries):
+                raise ConfigError(f"{name}.{spec.name}: must be {op} {bound}")
+
+
 def _validate(cfg: ExperimentConfig) -> None:
+    """The rules that join two keys or look at a whole list."""
     p, topo, alg, run = cfg.problem, cfg.topology, cfg.algorithm, cfg.run
-    if p.d < 1:
-        raise ConfigError("problem.d: must be >= 1")
-    if p.lam is not None and p.lam <= 0:
-        raise ConfigError("problem.lam: must be > 0")
-    if p.alpha <= 0:
-        raise ConfigError("problem.alpha: must be > 0")
-    if p.subsample is not None and p.subsample < 1:
-        raise ConfigError("problem.subsample: must be >= 1")
-    if p.data_seed < 0:
-        raise ConfigError("problem.data_seed: must be >= 0")
-    if p.gen_seed < 0:
-        raise ConfigError("problem.gen_seed: must be >= 0")
-    if p.lipschitz is not None and p.lipschitz <= 0:
-        raise ConfigError("problem.lipschitz: must be > 0")
-    if p.grad_bound is not None and p.grad_bound <= 0:
-        raise ConfigError("problem.grad_bound: must be > 0")
     if p.kind == "capped_l1_svm" and not p.dataset:
         raise ConfigError("problem.dataset: required for kind capped_l1_svm")
-    if p.kind == "synthetic_piecewise" and p.samples_per_client < 1:
-        raise ConfigError("problem.samples_per_client: must be >= 1")
-    if topo.n < 1:
-        raise ConfigError("topology.n: must be >= 1")
     if topo.kind == "file" and not topo.path:
         raise ConfigError("topology.path: required for kind file")
-    if alg.delta <= 0:
-        raise ConfigError("algorithm.delta: must be > 0")
-    if alg.epsilon <= 0:
-        raise ConfigError("algorithm.epsilon: must be > 0")
-    if alg.delta_prime is not None and alg.delta_prime < 0:
-        raise ConfigError("algorithm.delta_prime: must be >= 0")
     if alg.delta_prime == 0 and alg.oracle == "zeroth":
         raise ConfigError("algorithm.delta_prime: must be > 0 for oracle zeroth")
-    if alg.sigma is not None and alg.sigma < 0:
-        raise ConfigError("algorithm.sigma: must be >= 0")
-    if alg.nu < 0:
-        raise ConfigError("algorithm.nu: must be >= 0")
-    if alg.c0 <= 0:
-        raise ConfigError("algorithm.c0: must be > 0")
-    if alg.eta is not None and any(v <= 0 for v in alg.eta):
-        raise ConfigError("algorithm.eta: entries must be > 0")
-    if alg.D is not None and any(v <= 0 for v in alg.D):
-        raise ConfigError("algorithm.D: entries must be > 0")
-    if alg.eps_prime is not None:
-        if alg.eps_prime <= 0:
-            raise ConfigError("algorithm.eps_prime: must be > 0")
-        if alg.D is not None and any(alg.eps_prime >= dv for dv in alg.D):
-            raise ConfigError(
-                "algorithm.eps_prime: consensus tolerance must be strictly "
-                "below the update diameter D (eps_prime < D)"
-            )
-    if alg.R is not None and alg.R < 1:
-        raise ConfigError("algorithm.R: must be >= 1")
-    if alg.K is not None and alg.K < 1:
-        raise ConfigError("algorithm.K: must be >= 1")
-    if alg.T is not None and alg.T < 1:
-        raise ConfigError("algorithm.T: must be >= 1")
+    if alg.eps_prime is not None and any(alg.eps_prime >= dv for dv in alg.D or ()):
+        raise ConfigError(
+            "algorithm.eps_prime: consensus tolerance must be strictly "
+            "below the update diameter D (eps_prime < D)"
+        )
     if not run.seeds:
         raise ConfigError("run.seeds: at least one seed is required")
-    if any(seed < 0 for seed in run.seeds):
-        raise ConfigError("run.seeds: must be >= 0")
     repeated = [seed for i, seed in enumerate(run.seeds) if seed in run.seeds[:i]]
     if repeated:
         # each seed's run writes trace_<seed>.csv, so a repeat would overwrite it
         raise ConfigError(f"run.seeds: must be distinct; seed {repeated[0]} is repeated")
-    if run.metrics_every < 1:
-        raise ConfigError("run.metrics_every: must be >= 1")
-    if run.goldstein_every < 0:
-        raise ConfigError("run.goldstein_every: must be >= 0")
-    if run.goldstein_samples < 1:
-        raise ConfigError("run.goldstein_samples: must be >= 1")
-    if run.goldstein_final_samples < 1:
-        raise ConfigError("run.goldstein_final_samples: must be >= 1")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -320,19 +288,14 @@ def load_dataset(cfg: ProblemConfig):
 def build_problem(cfg: ProblemConfig, n: int, seed: int, data):
     if cfg.kind == "synthetic_piecewise":
         problem = PiecewiseProblem.generate(n, cfg.d, cfg.samples_per_client, cfg.gen_seed)
-        return replace(
-            problem,
-            lipschitz_L=cfg.lipschitz or problem.lipschitz_L,
-            grad_bound_G=cfg.grad_bound or problem.grad_bound_G,
+    else:
+        problem = CappedHingeSvmProblem.from_shards(
+            shard(data, n, seed), cfg.d, lam=cfg.lam, alpha=cfg.alpha
         )
-    shards = shard(data, n, seed)
-    return CappedHingeSvmProblem.from_shards(
-        shards,
-        cfg.d,
-        lam=cfg.lam,
-        alpha=cfg.alpha,
-        lipschitz_L=cfg.lipschitz,
-        grad_bound_G=cfg.grad_bound,
+    return replace(
+        problem,
+        lipschitz_L=cfg.lipschitz or problem.lipschitz_L,
+        grad_bound_G=cfg.grad_bound or problem.grad_bound_G,
     )
 
 
@@ -365,15 +328,7 @@ class RunSummary:
     aggregate: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "version": self.version,
-            "trace_format": TRACE_FORMAT,
-            "config_hash": self.config_hash,
-            "method": self.method,
-            "oracle": self.oracle,
-            "runs": [asdict(r) for r in self.runs],
-            "aggregate": self.aggregate,
-        }
+        payload = {**asdict(self), "trace_format": TRACE_FORMAT}
         return json.dumps(payload, indent=2, sort_keys=True)
 
 

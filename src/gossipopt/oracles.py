@@ -253,8 +253,6 @@ class CappedHingeSvmProblem(_ShardedProblem):
     lipschitz_L: float = 0.0
     grad_bound_G: float = 0.0
 
-    kind = "capped_l1_svm"
-
     @classmethod
     def from_shards(
         cls,
@@ -262,8 +260,6 @@ class CappedHingeSvmProblem(_ShardedProblem):
         d: int,
         lam: float | None = None,
         alpha: float = 2.0,
-        lipschitz_L: float | None = None,
-        grad_bound_G: float | None = None,
     ) -> "CappedHingeSvmProblem":
         if any(len(s) == 0 for s in shards):
             raise OracleError("every client shard must be nonempty")
@@ -296,8 +292,8 @@ class CappedHingeSvmProblem(_ShardedProblem):
             signed=signed,
             labels=labels,
             slices=_client_slices(sizes),
-            lipschitz_L=lipschitz_L if lipschitz_L is not None else bound,
-            grad_bound_G=grad_bound_G if grad_bound_G is not None else bound,
+            lipschitz_L=bound,
+            grad_bound_G=bound,
         )
 
     def sample_value(self, client: int, j: int, x: np.ndarray) -> float:
@@ -360,8 +356,6 @@ class PiecewiseProblem(_ShardedProblem):
     slices: list[slice] = field(repr=False)
     lipschitz_L: float = 0.0
     grad_bound_G: float = 0.0
-
-    kind = "synthetic_piecewise"
 
     @classmethod
     def generate(cls, n: int, d: int, samples_per_client: int, seed: int) -> "PiecewiseProblem":

@@ -8,6 +8,7 @@ import pytest
 
 import gossipopt
 from gossipopt.cli import (
+    _SECTIONS,
     ConfigError,
     build_topology,
     config_hash,
@@ -183,34 +184,52 @@ def test_type_errors_name_the_key(tmp_path):
         assert str(info.value) == message
 
 
-@pytest.mark.parametrize(
-    "key,value",
-    [
-        ("run.goldstein_final_samples", "0"),
-        ("run.goldstein_samples", "0"),
-        ("run.goldstein_every", "-1"),
-        ("problem.subsample", "0"),
-        ("problem.subsample", "-5"),
-        ("problem.lam", "0"),
-        ("problem.alpha", "-1"),
-        ("problem.data_seed", "-1"),
-        ("problem.gen_seed", "-3"),
-        ("run.seeds", "-1"),
-        ("run.seeds", "1, -2"),
-        ("run.seeds", "1, 1"),
-        ("run.seeds", "3, 1, 3"),
-        ("algorithm.sigma", "-2"),
-        ("algorithm.nu", "-1"),
-        ("algorithm.c0", "0"),
-        ("algorithm.c0", "-1"),
-        ("algorithm.delta_prime", "-0.1"),
-        pytest.param("algorithm.delta_prime", "0\noracle = zeroth",
-                     id="algorithm.delta_prime-0-zeroth"),
-        ("problem.lipschitz", "0"),
-        ("problem.lipschitz", "-1"),
-        ("problem.grad_bound", "0"),
-    ],
-)
+# (key path, a bad value); every key with a declared range has a case here.
+# A value that spans lines sets further keys of the same section.
+BAD_VALUES = [
+    ("run.goldstein_final_samples", "0"),
+    ("run.goldstein_samples", "0"),
+    ("run.goldstein_every", "-1"),
+    ("problem.subsample", "0"),
+    ("problem.subsample", "-5"),
+    ("problem.lam", "0"),
+    ("problem.alpha", "-1"),
+    ("problem.data_seed", "-1"),
+    ("problem.gen_seed", "-3"),
+    ("run.seeds", "-1"),
+    ("run.seeds", "1, -2"),
+    ("run.seeds", "1, 1"),
+    ("run.seeds", "3, 1, 3"),
+    ("algorithm.sigma", "-2"),
+    ("algorithm.nu", "-1"),
+    ("algorithm.c0", "0"),
+    ("algorithm.c0", "-1"),
+    ("algorithm.delta_prime", "-0.1"),
+    pytest.param("algorithm.delta_prime", "0\noracle = zeroth",
+                 id="algorithm.delta_prime-0-zeroth"),
+    ("problem.lipschitz", "0"),
+    ("problem.lipschitz", "-1"),
+    ("problem.grad_bound", "0"),
+    ("problem.d", "0"),
+    ("problem.samples_per_client", "0"),
+    pytest.param("problem.samples_per_client", "0\nkind = capped_l1_svm\ndataset = x.svm",
+                 id="problem.samples_per_client-0-capped_l1_svm"),
+    ("topology.n", "0"),
+    ("topology.neighbors_per_side", "0"),
+    ("algorithm.delta", "0"),
+    ("algorithm.delta", "nan"),
+    ("algorithm.epsilon", "-0.5"),
+    ("algorithm.eta", "0.002, -0.001"),
+    ("algorithm.D", "0"),
+    ("algorithm.eps_prime", "0"),
+    ("algorithm.R", "0"),
+    ("algorithm.K", "0"),
+    ("algorithm.T", "0"),
+    ("run.metrics_every", "0"),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_VALUES)
 def test_bad_probe_and_data_values_rejected_before_any_run(tmp_path, key, value):
     section, name = key.split(".")
     # the key (and any further line of its value) goes right under its
@@ -227,6 +246,21 @@ def test_bad_probe_and_data_values_rejected_before_any_run(tmp_path, key, value)
     for command in ("run", "plan"):
         assert main([command, path]) == 1
     assert not out.exists()
+
+
+def test_ranged_keys_have_a_rejection_case_and_a_readme_entry():
+    ranged = {
+        (section, f.name)
+        for section, cls in _SECTIONS.items()
+        for f in fields(cls)
+        if "range" in f.metadata
+    }
+    cases = {getattr(case, "values", case)[0] for case in BAD_VALUES}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    [paragraph] = [p for p in readme.split("\n\n") if "checked ranges" in p]
+    for section, name in sorted(ranged):
+        assert f"{section}.{name}" in cases, name
+        assert f"`{section}.{name}`" in paragraph or f"`{name}`" in paragraph, name
 
 
 def test_plan_rejected_by_the_planner_writes_nothing(tmp_path):
@@ -519,14 +553,23 @@ def test_baseline_reports_the_one_round_it_runs(tmp_path, capsys):
 
 
 def test_synthetic_problem_takes_the_lipschitz_and_grad_bound_overrides(tmp_path, capsys):
-    path, _ = write_config(tmp_path)
-    assert main(["plan", path]) == 0
-    planned = capsys.readouterr().out
-    for key, attr in (("lipschitz", "lipschitz_L"), ("grad_bound", "grad_bound_G")):
-        text = MINIMAL.replace("gen_seed = 5\n", f"gen_seed = 5\n{key} = 50\n")
-        path, _ = write_config(tmp_path, text, name=f"{key}.ini")
+    data = tmp_path / "small.libsvm"
+    data.write_text("+1 1:1\n-1 2:1\n+1 3:1\n-1 1:1\n")
+    svm = SVM_CONFIG.replace("{data}", str(data))
+    # (base config, the line the override goes after, key, problem attribute)
+    cases = [
+        (MINIMAL, "gen_seed = 5\n", "lipschitz", "lipschitz_L"),
+        (MINIMAL, "gen_seed = 5\n", "grad_bound", "grad_bound_G"),
+        (svm, "d = 3\n", "lipschitz", "lipschitz_L"),
+    ]
+    for i, (base, line, key, attr) in enumerate(cases):
+        path, _ = write_config(tmp_path, base, name=f"base{i}.ini")
         assert main(["plan", path]) == 0
-        assert capsys.readouterr().out != planned, key
+        planned = capsys.readouterr().out
+        text = base.replace(line, f"{line}{key} = 50\n")
+        path, _ = write_config(tmp_path, text, name=f"{i}.ini")
+        assert main(["plan", path]) == 0
+        assert capsys.readouterr().out != planned, (i, key)
         for _, _, problem in plan_experiment(parse_config(path))[2]:
             assert getattr(problem, attr) == 50.0
 
