@@ -31,7 +31,7 @@ from .metrics import (
 )
 from .oracles import (
     CappedHingeSvmProblem,
-    DataSample,
+    LibsvmData,
     OracleSample,
     PiecewiseProblem,
     first_order_estimator,
@@ -77,7 +77,7 @@ __all__ = [
     "consensus_errors",
     "goldstein_norm_estimate",
     "CappedHingeSvmProblem",
-    "DataSample",
+    "LibsvmData",
     "OracleSample",
     "PiecewiseProblem",
     "first_order_estimator",

@@ -38,6 +38,7 @@ from .core import (
 from .metrics import CSV_COLUMNS, GoldsteinProbeConfig, MetricsSink, PROBE_POLICIES
 from .oracles import (
     CappedHingeSvmProblem,
+    LibsvmParseError,
     PiecewiseProblem,
     load_libsvm,
     shard,
@@ -276,10 +277,14 @@ def build_topology(cfg: TopologyConfig) -> MixingMatrix:
 
 def load_dataset(cfg: ProblemConfig):
     """Load (and optionally subsample) the configured dataset once; the
-    result can be shared across every seed and grid cell of a sweep."""
+    result can be shared across every seed and grid cell of a sweep. A
+    malformed file is a configuration error that names it."""
     if cfg.kind != "capped_l1_svm":
         return None
-    data = load_libsvm(cfg.dataset, cfg.d)
+    try:
+        data = load_libsvm(cfg.dataset, cfg.d)
+    except LibsvmParseError as exc:
+        raise ConfigError(f"problem.dataset: {cfg.dataset}: {exc}") from None
     if cfg.subsample is not None:
         data = subsample(data, cfg.subsample, cfg.data_seed)
     return data
@@ -290,7 +295,7 @@ def build_problem(cfg: ProblemConfig, n: int, seed: int, data):
         problem = PiecewiseProblem.generate(n, cfg.d, cfg.samples_per_client, cfg.gen_seed)
     else:
         problem = CappedHingeSvmProblem.from_shards(
-            shard(data, n, seed), cfg.d, lam=cfg.lam, alpha=cfg.alpha
+            data, shard(data, n, seed), cfg.d, lam=cfg.lam, alpha=cfg.alpha
         )
     return replace(
         problem,

@@ -9,6 +9,13 @@ Two problem families share one interface:
   by quadrature as an estimator-independent reference for smoothed
   gradients.
 
+A LIBSVM set is one LibsvmData: labels plus the CSR arrays indptr, indices
+and values. The parser matches lines with one regular expression and
+converts a chunk of about 64 KB at a time with numpy; from the first line
+that fails a check, the per-line parser takes over and gives the error.
+subsample and shard pick row numbers, and the SVM scatters its rows into
+one dense matrix.
+
 Estimators draw one local sample plus one perturbation direction per call:
 the first-order estimator returns a subgradient at a ball-perturbed point,
 the zeroth-order estimator a two-point finite difference along a sphere
@@ -23,7 +30,9 @@ active branch, tied max pieces take the first piece.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -44,49 +53,141 @@ class LibsvmParseError(ValueError):
 # -- dataset ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DataSample:
-    """One sparse labeled sample: strictly increasing 0-based indices."""
+@dataclass(frozen=True, eq=False)
+class LibsvmData:
+    """Labeled sparse rows in CSR form: row r has the labels[r] in {-1, +1}
+    and the 0-based, strictly increasing feature indices
+    indices[indptr[r]:indptr[r + 1]] with their values."""
 
-    indices: np.ndarray
-    values: np.ndarray
-    label: int
+    labels: np.ndarray  # (m,) int64
+    indptr: np.ndarray  # (m + 1,) int64
+    indices: np.ndarray  # (nnz,) int64
+    values: np.ndarray  # (nnz,) float64
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DataSample)
-            and self.label == other.label
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @classmethod
+    def from_rows(cls, rows) -> "LibsvmData":
+        """Pack (label, indices, values) rows."""
+        labels, indices, values = zip(*rows) if rows else ((), (), ())
+        indptr = _indptr([len(i) for i in indices])
+        return cls(
+            np.array(labels, dtype=np.int64),
+            indptr,
+            np.fromiter(chain.from_iterable(indices), dtype=np.int64, count=indptr[-1]),
+            np.fromiter(chain.from_iterable(values), dtype=np.float64, count=indptr[-1]),
         )
+
+    def take(self, rows: np.ndarray) -> "LibsvmData":
+        """The given rows, in the given order."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = _indptr(counts)
+        # the source position of each kept entry
+        at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+        return LibsvmData(self.labels[rows], indptr, self.indices[at], self.values[at])
+
+
+def _indptr(counts) -> np.ndarray:
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(counts)
+    return indptr
 
 
 _LABEL_MAP = {"+1": 1, "1": 1, "-1": -1, "0": -1}
 
+# A line the fast path takes whole: a label word, then digits:value features
+# separated by spaces or tabs. The value characters cover every decimal
+# float; the rest of what float() takes (inf, nan, 1_0) and other
+# whitespace are left to the per-line parser.
+_FAST_LINE = re.compile(
+    r"[ \t]*(\+1|-1|1|0)((?:[ \t]+[0-9]+:[0-9.eE+-]+)*)[ \t]*\n?", re.ASCII
+)
+_CHUNK_CHARS = 1 << 16
 
-def load_libsvm(path: str, d_hint: int) -> list[DataSample]:
+
+def load_libsvm(path: str, d_hint: int) -> LibsvmData:
     """Parse a LIBSVM text file: ``label idx:val idx:val ...`` per line.
 
     Indices are 1-based ascending in the file and converted to 0-based;
     labels may follow the {-1,+1} or {0,1} convention and are mapped to
-    {-1,+1}. Malformed lines raise LibsvmParseError with their 1-based
-    line number and column.
+    {-1,+1}. Malformed lines, and bytes outside ASCII, raise
+    LibsvmParseError with their 1-based line number and column.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    # a byte outside ASCII decodes to one lone surrogate, so that the parser
+    # can report its line and column
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return _parse_lines(fh, d_hint)
 
 
-def _parse_lines(lines, d_hint: int) -> list[DataSample]:
-    # lines may be an open file, read one line at a time so that the whole
-    # text is never held in memory; blank lines are skipped but counted
-    return [
-        _parse_line(line, lineno, d_hint)
-        for lineno, line in enumerate(lines, start=1)
-        if line.strip()
-    ]
+def _parse_lines(lines, d_hint: int) -> LibsvmData:
+    # lines (an open file, or io.StringIO for text) is read about 64 KB at a
+    # time, so the whole text is never held in memory; blank lines are
+    # skipped but counted; the empty first piece makes an empty text 0 rows
+    pieces = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
+    lineno = 1
+    while chunk := lines.readlines(_CHUNK_CHARS):
+        pieces += _parse_chunk(chunk, lineno, d_hint)
+        lineno += len(chunk)
+    labels, counts, indices, values = (np.concatenate(arrays) for arrays in zip(*pieces))
+    return LibsvmData(labels, _indptr(counts), indices, values)
 
 
-def _parse_line(line: str, lineno: int, d_hint: int) -> DataSample:
+def _parse_chunk(chunk: list[str], lineno: int, d_hint: int) -> list[tuple]:
+    """(labels, row lengths, indices, values) of the rows of chunk, whose
+    first line has number lineno.
+
+    The fast path converts the index and value tokens of the lines that
+    match _FAST_LINE by one numpy call each, which takes each token as
+    int() or float() does. The per-line parser takes over from the first
+    line that does not match, or from the chunk's start if a token does not
+    convert or an array check fails, so every error keeps its text, line
+    and column.
+    """
+    labels, counts, features = [], [], []
+    cut = len(chunk)
+    for k, line in enumerate(chunk):
+        if match := _FAST_LINE.fullmatch(line):
+            labels.append(_LABEL_MAP[match[1]])
+            counts.append(match[2].count(":"))
+            features.append(match[2])
+        elif line.strip():
+            cut = k
+            break
+    counts = np.array(counts, dtype=np.int64)
+    tokens = " ".join(features).replace(":", " ").split()
+    try:
+        indices = np.array(tokens[::2], dtype=np.int64) - 1
+        values = np.array(tokens[1::2], dtype=np.float64)
+    except (ValueError, OverflowError):
+        cut = 0
+    else:
+        # rising[p]: indices[p + 1] starts a row or is above indices[p]
+        rising = np.diff(indices) > 0
+        starts = np.cumsum(counts) - counts
+        rising[starts[(starts > 0) & (starts < len(indices))] - 1] = True
+        if not (np.isfinite(values).all() and rising.all()
+                and indices.min(initial=0) >= 0 and indices.max(initial=0) < d_hint):
+            cut = 0
+    pieces = [(np.array(labels, dtype=np.int64), counts, indices, values)] if cut else []
+    if cut < len(chunk):
+        slow = LibsvmData.from_rows([
+            _parse_line(line, k, d_hint)
+            for k, line in enumerate(chunk[cut:], start=lineno + cut)
+            if line.strip()
+        ])
+        pieces.append((slow.labels, np.diff(slow.indptr), slow.indices, slow.values))
+    return pieces
+
+
+def _parse_line(line: str, lineno: int, d_hint: int) -> tuple[int, list[int], list[float]]:
+    """The per-line parser: (label, 0-based indices, values) of one
+    non-blank line, or the LibsvmParseError for its first bad token."""
+    if not line.isascii():
+        col = next(k for k, ch in enumerate(line) if not ch.isascii())
+        byte = line[col].encode("utf-8", "surrogateescape")[0]
+        raise LibsvmParseError(f"non-ASCII byte 0x{byte:02x}", lineno, col + 1)
     tokens = line.split()
     label = _LABEL_MAP.get(tokens[0])
     if label is None:
@@ -124,12 +225,7 @@ def _parse_line(line: str, lineno: int, d_hint: int) -> DataSample:
         prev = idx
         indices.append(idx)
         values.append(val)
-
-    return DataSample(
-        indices=np.array(indices, dtype=np.int64),
-        values=np.array(values, dtype=np.float64),
-        label=label,
-    )
+    return label, indices, values
 
 
 def _parse_error(message: str, line: str, lineno: int, k: int) -> LibsvmParseError:
@@ -143,39 +239,43 @@ def _parse_error(message: str, line: str, lineno: int, k: int) -> LibsvmParseErr
 
 
 def _format_value(v: float) -> str:
-    text = repr(float(v))
+    text = repr(v)
     return text[:-2] if text.endswith(".0") else text
 
 
-def serialize_libsvm(samples: list[DataSample]) -> str:
+def serialize_libsvm(data: LibsvmData) -> str:
     """Canonical text form: ``{+1,-1} idx:val ...`` with single spaces,
     1-based indices, shortest-round-trip value formatting."""
-    lines = []
-    for s in samples:
-        parts = [f"{s.label:+d}"]
-        for idx, val in zip(s.indices, s.values):
-            parts.append(f"{idx + 1}:{_format_value(val)}")
-        lines.append(" ".join(parts))
+    features = [
+        f"{idx}:{_format_value(val)}"
+        for idx, val in zip((data.indices + 1).tolist(), data.values.tolist())
+    ]
+    bounds = data.indptr.tolist()
+    lines = [
+        " ".join([f"{label:+d}", *features[lo:hi]])
+        for label, lo, hi in zip(data.labels.tolist(), bounds, bounds[1:])
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def shard(data: list[DataSample], n: int, seed: int) -> list[list[DataSample]]:
-    """Seeded shuffle then round-robin split into n shards of near-equal size."""
+def shard(data: LibsvmData, n: int, seed: int) -> list[np.ndarray]:
+    """Seeded shuffle, then a round-robin split of the row numbers of data
+    into n shards of near-equal size."""
     if n < 1:
         raise OracleError(f"client count must be >= 1, got {n}")
     if n > len(data):
         raise OracleError(f"cannot shard {len(data)} samples across {n} clients")
     perm = stream(seed, "shard", 0).permutation(len(data))
-    return [[data[perm[i]] for i in range(c, len(data), n)] for c in range(n)]
+    return [perm[c::n] for c in range(n)]
 
 
-def subsample(data: list[DataSample], k: int, seed: int) -> list[DataSample]:
-    """Deterministically keep k samples (seeded choice without replacement)."""
+def subsample(data: LibsvmData, k: int, seed: int) -> LibsvmData:
+    """Deterministically keep k rows (seeded choice without replacement)."""
     if k >= len(data):
-        return list(data)
+        return data
     keep = stream(seed, "shard", 1).choice(len(data), size=k, replace=False)
     keep.sort()
-    return [data[i] for i in keep]
+    return data.take(keep)
 
 
 def write_synthetic_libsvm(path: str, m: int, d: int, seed: int, nnz_per_row: int = 14) -> None:
@@ -187,18 +287,17 @@ def write_synthetic_libsvm(path: str, m: int, d: int, seed: int, nnz_per_row: in
     """
     rng = stream(seed, "datagen", 1)
     w_star = rng.standard_normal(d)
-    samples = []
+    rows = []
     for _ in range(m):
         k = min(d, max(1, int(rng.poisson(nnz_per_row))))
-        idx = np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64)
-        vals = np.ones(k)
+        idx = np.sort(rng.choice(d, size=k, replace=False))
         score = w_star[idx].sum() + 0.5 * rng.standard_normal()
         label = 1 if score > 0 else -1
         if rng.random() < 0.10:
             label = -label
-        samples.append(DataSample(indices=idx, values=vals, label=label))
+        rows.append((label, idx, np.ones(k)))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(serialize_libsvm(samples))
+        fh.write(serialize_libsvm(LibsvmData.from_rows(rows)))
 
 
 # -- problems ----------------------------------------------------------------
@@ -256,11 +355,13 @@ class CappedHingeSvmProblem(_ShardedProblem):
     @classmethod
     def from_shards(
         cls,
-        shards: list[list[DataSample]],
+        data: LibsvmData,
+        shards: list[np.ndarray],
         d: int,
         lam: float | None = None,
         alpha: float = 2.0,
     ) -> "CappedHingeSvmProblem":
+        """The problem whose client i owns the rows shards[i] of data."""
         if any(len(s) == 0 for s in shards):
             raise OracleError("every client shard must be nonempty")
         sizes = [len(s) for s in shards]
@@ -271,16 +372,12 @@ class CappedHingeSvmProblem(_ShardedProblem):
             lam = 1e-5 / m
         if lam <= 0 or alpha <= 0:
             raise OracleError("lam and alpha must be positive")
+        rows = data.take(np.concatenate(shards))
+        if rows.indices.max(initial=0) >= d:
+            raise OracleError(f"sample index {rows.indices.max()} >= d = {d}")
         signed = np.zeros((m, d))
-        labels = np.empty(m)
-        row = 0
-        for shard_samples in shards:
-            for s in shard_samples:
-                if len(s.indices) and s.indices[-1] >= d:
-                    raise OracleError(f"sample index {s.indices[-1]} >= d = {d}")
-                signed[row, s.indices] = s.values
-                labels[row] = s.label
-                row += 1
+        signed[np.repeat(np.arange(m), np.diff(rows.indptr)), rows.indices] = rows.values
+        labels = rows.labels.astype(np.float64)
         signed *= labels[:, None]
         row_norms = np.linalg.norm(signed, axis=1)
         bound = float(row_norms.max()) + lam * np.sqrt(d)

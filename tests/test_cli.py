@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from dataclasses import fields
@@ -318,6 +319,19 @@ def test_too_few_samples_for_the_clients_rejected_before_any_run(tmp_path, extra
     assert not out.exists()
 
 
+def test_malformed_dataset_is_a_configuration_error_naming_the_file(tmp_path, capsys):
+    data = tmp_path / "bad.libsvm"
+    data.write_text("+1 1:1\n-1 2:1\n+1 3:1\n-1 0:2\n+1 1:1\n")
+    path, out = write_config(tmp_path, SVM_CONFIG.replace("{data}", str(data)))
+    for command in ("run", "plan"):
+        assert main([command, path]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: problem.dataset: {data}: "
+            "line 4, column 4: feature index must be >= 1\n"
+        )
+    assert not out.exists()
+
+
 def test_failed_final_probe_is_recorded_per_seed(tmp_path, monkeypatch):
     import gossipopt.cli as cli
 
@@ -482,9 +496,9 @@ def test_grid_builds_one_problem_per_seed(tmp_path, synthetic_libsvm_path, monke
     build = CappedHingeSvmProblem.from_shards
     built = []
 
-    def counting_build(*args, **kwargs):
+    def counting_build(data, shards, d, **kwargs):
         built.append(1)
-        return build(*args, **kwargs)
+        return build(data, shards, d, **kwargs)
 
     monkeypatch.setattr(CappedHingeSvmProblem, "from_shards", staticmethod(counting_build))
     text = SVM_GRID.format(data=synthetic_libsvm_path, eta="0.002, 0.004", D="0.01, 0.02")
@@ -636,6 +650,15 @@ def test_make_data_subcommand(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"configuration error: {flag}: must be >= {least}\n"
         assert not bad.exists()
+
+
+def test_make_data_output_is_pinned(tmp_path):
+    # the benchmark builds its dataset with make-data, so its bytes are fixed
+    target = tmp_path / "pinned.libsvm"
+    assert main(["make-data", str(target), "--samples", "300", "--dim", "20", "--seed", "7"]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "edd26fdf96f955cee6bda43d0e9845d1f12630994197d82a8b12f7f1bc370952"
+    )
 
 
 def test_file_topology_config(tmp_path):

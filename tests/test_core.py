@@ -437,7 +437,7 @@ def test_svm_run_improves_objective_and_stationarity(synthetic_libsvm_path):
     from gossipopt.rng import stream
 
     data = load_libsvm(synthetic_libsvm_path, 123)
-    problem = CappedHingeSvmProblem.from_shards(shard(data, 16, 1), 123, alpha=2.0)
+    problem = CappedHingeSvmProblem.from_shards(data, shard(data, 16, 1), 123, alpha=2.0)
     matrix = build_ring(16, 1)
     plan = RunPlan(
         delta=0.5, epsilon=0.5, delta_prime=0.25, K=3, T=1000, R=2,
@@ -489,7 +489,7 @@ def test_sample_gap_at_matched_stationarity_estimate(synthetic_libsvm_path):
             eta=eta, D=diameter, eps_prime=diameter / 2, oracle_type="first",
             seed=1, n=16, d=123,
         )
-        problem = CappedHingeSvmProblem.from_shards(shard(data, 16, 1), 123, alpha=2.0)
+        problem = CappedHingeSvmProblem.from_shards(data, shard(data, 16, 1), 123, alpha=2.0)
         sink = MetricsSink()
         driver(plan, problem, matrix, sink, metrics_every=25,
                goldstein_cfg=probe, goldstein_every=2)

@@ -1,14 +1,17 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
+from gossipopt import oracles
 from gossipopt.oracles import (
     CappedHingeSvmProblem,
-    DataSample,
+    LibsvmData,
     LibsvmParseError,
     OracleError,
     PiecewiseProblem,
+    _parse_line,
     first_order_estimator,
     load_libsvm,
     serialize_libsvm,
@@ -20,7 +23,16 @@ from gossipopt.oracles import (
 from gossipopt.rng import stream
 from mc_smoothing import mc_smoothed_gradient
 from quadrature_smoothing import smoothed_gradient
-from text_forms import parse_libsvm_lines
+from text_forms import parse_libsvm_lines, same_data
+
+
+def svm_from_rows(shards, d, **kwargs):
+    """The SVM whose client i owns the (label, indices, values) rows
+    shards[i], in order."""
+    ends = np.cumsum([len(rows) for rows in shards])
+    data = LibsvmData.from_rows([row for rows in shards for row in rows])
+    parts = [np.arange(end - len(rows), end) for end, rows in zip(ends, shards)]
+    return CappedHingeSvmProblem.from_shards(data, parts, d, **kwargs)
 
 
 def make_svm(rng, n=2, per_client=3, d=6, lam=1e-3, alpha=2.0):
@@ -32,15 +44,9 @@ def make_svm(rng, n=2, per_client=3, d=6, lam=1e-3, alpha=2.0):
             idx = np.where(np.abs(dense) > 0.2)[0]
             if len(idx) == 0:
                 idx = np.array([0])
-            rows.append(
-                DataSample(
-                    indices=idx.astype(np.int64),
-                    values=dense[idx],
-                    label=int(rng.choice([-1, 1])),
-                )
-            )
+            rows.append((int(rng.choice([-1, 1])), idx, dense[idx]))
         shards.append(rows)
-    return CappedHingeSvmProblem.from_shards(shards, d, lam=lam, alpha=alpha)
+    return svm_from_rows(shards, d, lam=lam, alpha=alpha)
 
 
 def linear_problem(c):
@@ -62,9 +68,9 @@ def test_svm_value_at_origin_is_one(rng):
 
 def test_svm_value_capped_region():
     d = 5
-    sample = DataSample(indices=np.arange(d), values=np.full(d, 2.0), label=1)
-    other = DataSample(indices=np.array([0]), values=np.array([1.0]), label=-1)
-    p = CappedHingeSvmProblem.from_shards([[sample], [other]], d, lam=1e-5, alpha=2.0)
+    sample = (1, np.arange(d), np.full(d, 2.0))
+    other = (-1, [0], [1.0])
+    p = svm_from_rows([[sample], [other]], d, lam=1e-5, alpha=2.0)
     x = (p.alpha + 1.0) * np.ones(d)  # margin = 2 d (alpha + 1) = 30 > 1, cap active
     assert p.sample_value(0, 0, x) == pytest.approx(p.lam * d * p.alpha, rel=1e-15)
 
@@ -137,12 +143,9 @@ def test_svm_subgradient_matches_central_differences(rng):
 
 def test_svm_full_subgradients_average_the_sample_subgradients(rng):
     d, alpha = 6, 0.5
-    tied = DataSample(indices=np.array([0, 2]), values=np.array([2.0, 0.5]), label=-1)
-    dense = [
-        DataSample(indices=np.arange(d), values=rng.standard_normal(d), label=label)
-        for label in (1, -1, 1)
-    ]
-    p = CappedHingeSvmProblem.from_shards([[tied, dense[0]], dense[1:]], d, lam=1e-2, alpha=alpha)
+    tied = (-1, [0, 2], [2.0, 0.5])
+    dense = [(label, np.arange(d), rng.standard_normal(d)) for label in (1, -1, 1)]
+    p = svm_from_rows([[tied, dense[0]], dense[1:]], d, lam=1e-2, alpha=alpha)
     edge = np.zeros(d)
     edge[0] = -0.5  # the tied sample's margin is exactly 1: the hinge is active
     edge[1] = alpha  # on the cap the penalty is flat
@@ -168,13 +171,15 @@ def dense_reference_subgradients(p, X):
 def test_svm_full_subgradients_match_dense_reference(rng):
     d, alpha, m = 6, 0.5, 8000
     # margin exactly 1 at `edge` in any summation order: -1 * (2 * -0.5)
-    tied = DataSample(indices=np.array([0, 2]), values=np.array([2.0, 0.5]), label=-1)
+    tied = (-1, [0, 2], [2.0, 0.5])
     samples = [tied]
     for _ in range(m - 1):
-        idx = np.sort(rng.choice(d, size=3, replace=False)).astype(np.int64)
-        samples.append(DataSample(idx, rng.standard_normal(3), int(rng.choice([-1, 1]))))
+        idx = np.sort(rng.choice(d, size=3, replace=False))
+        values = rng.standard_normal(3)
+        samples.append((int(rng.choice([-1, 1])), idx, values))
     p = CappedHingeSvmProblem.from_shards(
-        [samples[c::4] for c in range(4)], d, lam=1e-2, alpha=alpha
+        LibsvmData.from_rows(samples), [np.arange(c, m, 4) for c in range(4)], d,
+        lam=1e-2, alpha=alpha,
     )
     edge = np.zeros(d)
     edge[0] = -0.5
@@ -196,8 +201,7 @@ def test_svm_full_subgradients_match_dense_reference(rng):
 
 
 def test_svm_index_errors():
-    sample = DataSample(indices=np.array([0]), values=np.array([1.0]), label=1)
-    p = CappedHingeSvmProblem.from_shards([[sample]], 3, lam=0.1)
+    p = svm_from_rows([[(1, [0], [1.0])]], 3, lam=0.1)
     with pytest.raises(OracleError):
         p.sample_value(1, 0, np.zeros(3))
     with pytest.raises(OracleError):
@@ -205,31 +209,32 @@ def test_svm_index_errors():
 
 
 def test_shards_must_be_balanced_and_nonempty():
-    s = DataSample(indices=np.array([0]), values=np.array([1.0]), label=1)
+    s = (1, [0], [1.0])
     with pytest.raises(OracleError):
-        CappedHingeSvmProblem.from_shards([[s, s, s], [s]], 3)
+        svm_from_rows([[s, s, s], [s]], 3)
     with pytest.raises(OracleError):
-        CappedHingeSvmProblem.from_shards([[s], []], 3)
+        svm_from_rows([[s], []], 3)
 
 
 # -- LIBSVM parsing -----------------------------------------------------------
 
 
 def test_parse_basic_line():
-    (s,) = parse_libsvm_lines("+1 3:0.5 7:1.0", d_hint=10)
-    assert s.label == 1
-    assert np.array_equal(s.indices, [2, 6])
-    assert np.array_equal(s.values, [0.5, 1.0])
+    data = parse_libsvm_lines("+1 3:0.5 7:1.0", d_hint=10)
+    assert data.labels.tolist() == [1]
+    assert data.indptr.tolist() == [0, 2]
+    assert np.array_equal(data.indices, [2, 6])
+    assert np.array_equal(data.values, [0.5, 1.0])
 
 
 def test_parse_label_only_line_is_all_zero_sample():
-    (s,) = parse_libsvm_lines("-1", d_hint=4)
-    assert s.label == -1 and len(s.indices) == 0
+    data = parse_libsvm_lines("-1", d_hint=4)
+    assert data.labels.tolist() == [-1] and data.indptr.tolist() == [0, 0]
 
 
 def test_parse_zero_one_label_convention():
-    a, b = parse_libsvm_lines("0 1:2.0\n1 1:2.0", d_hint=2)
-    assert a.label == -1 and b.label == 1
+    data = parse_libsvm_lines("0 1:2.0\n1 1:2.0", d_hint=2)
+    assert data.labels.tolist() == [-1, 1]
 
 
 # (line, 1-based column of the rejected token, message fragment)
@@ -277,13 +282,14 @@ def test_round_trip_fixpoint(tmp_path, rng):
     samples = []
     for _ in range(50):
         k = int(rng.integers(0, 6))
-        idx = np.sort(rng.choice(12, size=k, replace=False)).astype(np.int64)
+        idx = np.sort(rng.choice(12, size=k, replace=False))
         vals = np.round(rng.standard_normal(k), 6)
         vals[vals == 0] = 1.0
-        samples.append(DataSample(indices=idx, values=vals, label=int(rng.choice([-1, 1]))))
+        samples.append((int(rng.choice([-1, 1])), idx, vals))
+    samples = LibsvmData.from_rows(samples)
     text1 = serialize_libsvm(samples)
     parsed = parse_libsvm_lines(text1, d_hint=12)
-    assert parsed == samples
+    assert same_data(parsed, samples)
     text2 = serialize_libsvm(parsed)
     assert text2 == text1
 
@@ -294,13 +300,14 @@ def test_crlf_file_parses_like_its_text(tmp_path):
     path.write_bytes(text.encode("ascii"))
     data = load_libsvm(str(path), 3)
     assert len(data) == 3
-    assert data == parse_libsvm_lines(text, 3)
+    assert same_data(data, parse_libsvm_lines(text, 3))
 
     # only line ends split lines: \x0b, \x0c and \x1c, which str.splitlines()
     # also breaks at, stay inside the line in a file and in text alike
     def parse(read):
         try:
-            return read()
+            data = read()
+            return tuple(getattr(data, k).tolist() for k in ("labels", "indptr", "indices", "values"))
         except LibsvmParseError as exc:
             return str(exc), exc.line, exc.column
 
@@ -318,7 +325,7 @@ def test_crlf_file_parses_like_its_text(tmp_path):
         path.write_bytes(text.encode("ascii"))
         from_file = parse(lambda: load_libsvm(str(path), 3))
         assert from_file == parse(lambda: parse_libsvm_lines(text, 3)), text
-        assert (len(from_file) if isinstance(want, int) else from_file) == want, text
+        assert (len(from_file[0]) if isinstance(want, int) else from_file) == want, text
 
 
 def test_synthetic_dataset_round_trips(tmp_path):
@@ -326,19 +333,190 @@ def test_synthetic_dataset_round_trips(tmp_path):
     write_synthetic_libsvm(str(path), m=200, d=30, seed=5)
     data = load_libsvm(str(path), 30)
     assert len(data) == 200
-    assert {s.label for s in data} == {-1, 1}
+    assert set(data.labels.tolist()) == {-1, 1}
     text = serialize_libsvm(data)
     assert text == path.read_text(encoding="ascii")
+
+
+def test_non_ascii_byte_names_its_line_and_column(tmp_path):
+    path = tmp_path / "accent.libsvm"
+    path.write_bytes(b"+1 1:1 2:1\n-1 1:1 3:\xc3\xa9\n")
+    text = path.read_bytes().decode("utf-8")
+    for read in (lambda: load_libsvm(str(path), 5), lambda: parse_libsvm_lines(text, 5)):
+        with pytest.raises(LibsvmParseError) as info:
+            read()
+        assert str(info.value) == "line 2, column 10: non-ASCII byte 0xc3"
+        assert (info.value.line, info.value.column) == (2, 10)
+
+
+# -- the fast path against the per-line parser --------------------------------
+
+
+def reference_parse(text, d_hint):
+    """The per-line parser alone, over the lines reading the text gives."""
+    lines = io.StringIO(text, newline=None)
+    return LibsvmData.from_rows(
+        [_parse_line(line, k, d_hint) for k, line in enumerate(lines, start=1) if line.strip()]
+    )
+
+
+def outcome(read):
+    """Every bit of the parsed arrays, or the rejection's (text, line, column)."""
+    try:
+        data = read()
+    except LibsvmParseError as exc:
+        return str(exc), exc.line, exc.column
+    return tuple((a.dtype.str, a.tobytes()) for a in
+                 (data.labels, data.indptr, data.indices, data.values))
+
+
+def assert_parses_like_the_reference(path, text, d_hint):
+    """The file and the text entry points agree with the per-line parser."""
+    path.write_bytes(text.encode("utf-8"))
+    want = outcome(lambda: reference_parse(text, d_hint))
+    assert outcome(lambda: load_libsvm(str(path), d_hint)) == want, text[:200]
+    assert outcome(lambda: parse_libsvm_lines(text, d_hint)) == want, text[:200]
+    return want
+
+
+GOOD_LINE = "+1 1:0.5 7:1e-3 012:3 20:-2.5E+02\n"
+
+
+def chunk_boundary(text):
+    """The number of lines the parser reads in its first chunk of text."""
+    return len(io.StringIO(text, newline=None).readlines(oracles._CHUNK_CHARS))
+
+
+FIXED_TEXTS = [
+    "+1 1:0.5 3:2\r\n\r\n-1\r\n0 2:1e-3\r\n",  # CRLF, a blank line
+    "+1 1:0.5\r-1 2:1\r\r0\r",  # lone CR
+    "  \n\t\n+1 1:1\n \t \n-1 2:1\n\n",  # whitespace-only lines
+    "+1 1:1\n1 2:1\n-1 3:1\n0 4:1\n",  # both label conventions
+    "+1\n-1\n1\n0\n",  # label-only lines
+    "+1 01:1 0002:2 020:3\n",  # leading zeros
+    "-1 1:1e5 2:-2.5E-3 3:.5 4:5. 5:+7 6:1e-320 7:1.7976931348623157e308\n",  # exponents
+    "+1 1:1\t2:2 \t3:3\t\n\t-1\t4:4  5:5  \n",  # tabs and runs of blanks
+    "+1 1:1\x0b 2:1\n-1 1:1_0\n",  # whitespace and a value only float() takes
+    "+1 1:1\n-1 2:1\n+1 3:oops",  # a bad token on the last line, no line end
+    "+1 1:1\n-1 2:1\n+1 4:1 3:1\n",  # indices not increasing
+    "+1 1:1\n-1 2:1e999\n",  # a value that overflows
+    "+1 1:1\n-1 21:1\n",  # an index beyond d
+    "+1 1:1\n-1 0:1\n",  # index zero
+    "+1 1:1\n+2 1:1\n",  # a bad label
+    "+1 1:1\n-1 1:1:2\n",  # two colons
+    "",  # no lines
+]
+
+
+@pytest.mark.parametrize("text", FIXED_TEXTS)
+def test_fast_path_matches_the_per_line_parser_on_fixed_texts(tmp_path, text):
+    assert_parses_like_the_reference(tmp_path / "fixed.libsvm", text, 20)
+
+
+@pytest.mark.parametrize("bad,error", [
+    ("-1 3:x\n", "feature value 'x' is not a number"),
+    ("-1 3:1 3:2\n", "feature index 3 not strictly increasing"),
+    ("-1 3:1\x0b 2:1\n", "feature index 2 not strictly increasing"),
+    ("-1 3:1\x0b 4:1\n", None),
+])
+def test_bad_line_at_a_chunk_boundary(tmp_path, bad, error):
+    text = GOOD_LINE * 4000
+    first = chunk_boundary(text)
+    assert 1 < first < 4000
+    # the last line of the first chunk, and the first line of the second
+    for at in (first - 1, first):
+        lines = [GOOD_LINE] * 4000
+        lines[at] = bad
+        want = assert_parses_like_the_reference(tmp_path / "edge.libsvm", "".join(lines), 20)
+        if error is None:
+            assert len(want) == 4
+        else:
+            assert want[0].endswith(error) and want[1] == at + 1
+
+
+def random_line(rng, d, odd):
+    """One valid line in a random spelling; odd lines may use forms only the
+    per-line parser takes."""
+    label = ["+1", "1", "-1", "0"][rng.integers(4)]
+    k = int(rng.integers(0, 9))
+    indices = np.sort(rng.choice(d, size=k, replace=False)) + 1
+    blanks = [" ", "\t", "  ", " \t"] + (["\x0b", "\x0c ", "\x1c"] if odd else [])
+    tokens = [label]
+    for idx in indices:
+        head = "0" * int(rng.integers(0, 3) == 0) + str(idx)
+        x = float(rng.standard_normal() * 10.0 ** rng.integers(-310, 300))
+        forms = [repr(x), "%.25e" % x, "%g" % x, "%E" % x, str(int(rng.integers(-9, 10))),
+                 "." + str(rng.integers(10)), str(rng.integers(10)) + "."]
+        if odd:
+            forms += ["1_5", "+0.5"]
+        tokens.append(f"{head}:{forms[rng.integers(len(forms))]}")
+    lead = rng.choice(["", " ", "\t"])
+    line = lead + "".join(t + blanks[rng.integers(len(blanks))] for t in tokens[:-1]) + tokens[-1]
+    return line + rng.choice(["", " ", "\t "])
+
+
+def random_text(rng, lines, d, odd_share):
+    ends = ["\n", "\r\n", "\r"]
+    out = []
+    for _ in range(lines):
+        if rng.random() < 0.02:
+            out.append(rng.choice(["", " ", "\t"]))  # a blank line
+        else:
+            out.append(random_line(rng, d, rng.random() < odd_share))
+        out.append(ends[rng.integers(3)] if rng.random() < 0.1 else "\n")
+    return "".join(out)
+
+
+def test_fast_path_matches_the_per_line_parser_on_random_valid_lines(tmp_path):
+    rng = np.random.default_rng(20261018)
+    for odd_share in (0.0, 0.01):
+        text = random_text(rng, 3000, 40, odd_share)
+        assert chunk_boundary(text) < 3000  # the text spans several chunks
+        want = assert_parses_like_the_reference(tmp_path / "random.libsvm", text, 40)
+        assert len(want) == 4  # parsed, not rejected
+
+
+# each makes a valid line invalid; the per-line parser says how
+BREAKS = [
+    lambda line, rng: " ".join([rng.choice(["+2", "+0", "-0", "2", "1.0", "+", "-1:1"]),
+                                *line.split()[1:]]),
+    lambda line, rng: line + " 0:1",
+    lambda line, rng: line + " 41:1",
+    lambda line, rng: line + " 1:1 1:1",
+    lambda line, rng: line + " 40:" + rng.choice(["nan", "inf", "1e999", "x", "", "1..2", "1e"]),
+    lambda line, rng: line + rng.choice([" 40", " :1", " 40:1:2", " 4o:1", " -4:1"]),
+    lambda line, rng: line + " 40:é",
+]
+
+
+def test_fast_path_matches_the_per_line_parser_on_random_invalid_lines(tmp_path):
+    rng = np.random.default_rng(7)
+    for trial in range(6 * len(BREAKS)):
+        lines = random_text(rng, int(rng.integers(1, 200)), 40, 0.02).split("\n")
+        at = int(rng.integers(len(lines)))
+        lines[at] = BREAKS[trial % len(BREAKS)](lines[at].rstrip("\r"), rng)
+        text = "\n".join(lines)
+        want = assert_parses_like_the_reference(tmp_path / "broken.libsvm", text, 40)
+        assert len(want) == 3  # rejected
+
+
+def test_generated_dataset_takes_the_fast_path_only(tmp_path, monkeypatch):
+    path = tmp_path / "synth.libsvm"
+    write_synthetic_libsvm(str(path), m=3000, d=123, seed=3)
+    want = reference_parse(path.read_text(encoding="ascii"), 123)
+
+    def per_line(*args):
+        raise AssertionError("the per-line parser ran")
+
+    monkeypatch.setattr(oracles, "_parse_line", per_line)
+    assert same_data(load_libsvm(str(path), 123), want)
 
 
 # -- sharding -----------------------------------------------------------------
 
 
 def _dummy_samples(count):
-    return [
-        DataSample(indices=np.array([0]), values=np.array([float(i)]), label=1)
-        for i in range(count)
-    ]
+    return LibsvmData.from_rows([(1, [0], [float(i)]) for i in range(count)])
 
 
 def test_shard_sizes():
@@ -350,12 +528,12 @@ def test_shard_deterministic_and_partitioning():
     data = _dummy_samples(17)
     a = shard(data, 4, seed=9)
     b = shard(data, 4, seed=9)
-    flat_a = [s.values[0] for part in a for s in part]
-    flat_b = [s.values[0] for part in b for s in part]
+    flat_a = data.values[np.concatenate(a)].tolist()
+    flat_b = data.values[np.concatenate(b)].tolist()
     assert flat_a == flat_b
     assert sorted(flat_a) == [float(i) for i in range(17)]
     c = shard(data, 4, seed=10)
-    assert [s.values[0] for part in c for s in part] != flat_a
+    assert data.values[np.concatenate(c)].tolist() != flat_a
 
 
 def test_shard_too_many_clients():
@@ -367,9 +545,9 @@ def test_subsample_deterministic():
     data = _dummy_samples(100)
     a = subsample(data, 40, seed=3)
     b = subsample(data, 40, seed=3)
-    assert [s.values[0] for s in a] == [s.values[0] for s in b]
+    assert a.values.tolist() == b.values.tolist()
     assert len(a) == 40
-    assert subsample(data, 200, seed=3) == data
+    assert same_data(subsample(data, 200, seed=3), data)
 
 
 # -- estimators ---------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Text forms the tests build inputs from: a config written back out as
-canonical text, and LIBSVM rows parsed from a string instead of a file."""
+canonical text, and LIBSVM rows parsed from a string instead of a file,
+with a bitwise comparison of two parsed sets."""
 
 import io
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from gossipopt.cli import _SECTIONS, ExperimentConfig
-from gossipopt.oracles import DataSample, _parse_lines
+from gossipopt.oracles import LibsvmData, _parse_lines
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -27,6 +28,15 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
-def parse_libsvm_lines(text: str, d_hint: int) -> list[DataSample]:
-    # split at line ends only, as iterating the file does
+def parse_libsvm_lines(text: str, d_hint: int) -> LibsvmData:
+    # split at line ends only, as reading the file does
     return _parse_lines(io.StringIO(text, newline=None), d_hint)
+
+
+def same_data(a: LibsvmData, b: LibsvmData) -> bool:
+    """Labels, indptr, indices and values equal in dtype and in every bit."""
+    return all(
+        getattr(a, f.name).dtype == getattr(b, f.name).dtype
+        and getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes()
+        for f in fields(LibsvmData)
+    )
