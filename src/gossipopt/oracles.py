@@ -422,10 +422,13 @@ class CappedHingeSvmProblem(_ShardedProblem):
         out = np.empty_like(X)
         # the (q, m) margins in chunks of about 8 MB and near-equal size, so
         # that a chunk is one row only when X is (BLAS multiplies one row
-        # with its vector kernel, which rounds differently)
+        # with its vector kernel, which rounds differently); every chunk
+        # reuses one buffer, so the call's footprint does not hinge on where
+        # malloc puts several freed multi-MB blocks
         cuts = np.linspace(0, q, -(-q * m // 1_000_000) + 1).astype(int)
+        margins = np.empty((np.diff(cuts).max(initial=0), m))
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            coef = X[lo:hi] @ self.signed.T
+            coef = np.matmul(X[lo:hi], self.signed.T, out=margins[: hi - lo])
             # the hinge mask, 1.0 where the margin is <= 1, over the margins
             np.less_equal(coef, 1.0, out=coef, casting="unsafe")
             np.matmul(coef, self.signed, out=out[lo:hi])

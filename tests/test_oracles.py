@@ -187,9 +187,10 @@ def test_svm_full_subgradients_match_dense_reference(rng):
     edge[3] = -alpha
     assert p.labels[0] * float((p.labels[0] * p.signed[0]) @ edge) == 1.0
     # the kernel takes the (q, m) margins in chunks of at most this many rows,
-    # so chunk + 1 points make its first two-chunk probe
+    # so chunk + 1 points make its first two-chunk probe, and chunk + 2 one
+    # whose first chunk fills only part of the shared margins buffer
     chunk = 1_000_000 // m
-    for q in (1, chunk, chunk + 1):
+    for q in (1, chunk, chunk + 1, chunk + 2):
         X = np.vstack([edge, 2.0 * rng.standard_normal((q - 1, d))])
         got = p.full_subgradients(X)
         want = dense_reference_subgradients(p, X)
