@@ -8,8 +8,9 @@ __version__ = "0.1.0"
 # TRACE_FORMAT). 1: every release before accelerated gossip became one
 # product with a precomputed operator; 2: that operator; 3: one s, client,
 # xi and z generator per epoch, consumed in step order, in place of one
-# per step.
-TRACE_FORMAT = 3
+# per step; 4: the stationarity probe sums the rows its screen finds active
+# at every point as one vector, apart from the rows it multiplies.
+TRACE_FORMAT = 4
 
 from .core import (
     DivergenceError,

@@ -86,10 +86,10 @@ def plain_gossip(matrix: MixingMatrix, z: np.ndarray, rounds: int) -> np.ndarray
     """Repeatedly average with P: z <- P z, ``rounds`` times."""
     if rounds < 0:
         raise GossipError(f"rounds must be >= 0, got {rounds}")
-    out = _check_stack(matrix.n, z).copy()
+    out = _check_stack(matrix.n, z)
     for _ in range(rounds):
         out = matrix.weights @ out
-    return out
+    return out.copy() if rounds == 0 else out
 
 
 def plan_rounds(gamma: float, n: int, diameter: float, tolerance: float) -> int:

@@ -348,6 +348,7 @@ class CappedHingeSvmProblem(_ShardedProblem):
     alpha: float
     signed: np.ndarray = field(repr=False)  # (m, d), rows b_s * a_s
     labels: np.ndarray = field(repr=False)  # (m,), b_s in {-1, +1}
+    row_norms: np.ndarray = field(repr=False)  # (m,), |a_s|
     slices: list[slice] = field(repr=False)
     lipschitz_L: float = 0.0
     grad_bound_G: float = 0.0
@@ -379,7 +380,7 @@ class CappedHingeSvmProblem(_ShardedProblem):
         signed[np.repeat(np.arange(m), np.diff(rows.indptr)), rows.indices] = rows.values
         labels = rows.labels.astype(np.float64)
         signed *= labels[:, None]
-        row_norms = np.linalg.norm(signed, axis=1)
+        row_norms = np.sqrt(np.add.reduce(signed * signed, axis=1))
         bound = float(row_norms.max()) + lam * np.sqrt(d)
         return cls(
             d=d,
@@ -388,6 +389,7 @@ class CappedHingeSvmProblem(_ShardedProblem):
             alpha=alpha,
             signed=signed,
             labels=labels,
+            row_norms=row_norms,
             slices=_client_slices(sizes),
             lipschitz_L=bound,
             grad_bound_G=bound,
@@ -414,24 +416,49 @@ class CappedHingeSvmProblem(_ShardedProblem):
         pen = self.lam * np.minimum(np.abs(x), self.alpha).sum()
         return float(hinge + pen)
 
+    def _screen(self, X: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the rows active at every row of X and of the rows left
+        undecided (El Ghaoui, Viallon & Rabbani 2012): each point is within
+        rho of the centre c, so a margin is within rho * |a_s| of its value
+        at c, and the slack covers the rounding of both products. Non-finite
+        X leaves every row undecided. Overwrites the (q, d) scratch."""
+        c = np.add.reduce(X, axis=0) / X.shape[0]
+        np.square(np.subtract(X, c, out=scratch), out=scratch)
+        rho = math.sqrt(np.add.reduce(scratch, axis=1).max())
+        slack = 4 * self.d * np.finfo(float).eps * (math.sqrt(c @ c) + rho)
+        reach = self.row_norms * (rho + slack)
+        gap = self.signed @ c - 1.0
+        return gap < -reach, ~(np.abs(gap) > reach)
+
     # Batched over the rows of the (q, d) probe points X. The hinge is active
     # at margin <= 1; the penalty subgradient is lam * sign(x_j) strictly
     # inside the cap |x_j| < alpha and 0 outside.
     def full_subgradients(self, X: np.ndarray) -> np.ndarray:
-        q, m = X.shape[0], self.signed.shape[0]
+        q, (m, d) = X.shape[0], self.signed.shape
         out = np.empty_like(X)
-        # the (q, m) margins in chunks of about 8 MB and near-equal size, so
-        # that a chunk is one row only when X is (BLAS multiplies one row
-        # with its vector kernel, which rounds differently); every chunk
-        # reuses one buffer, so the call's footprint does not hinge on where
-        # malloc puts several freed multi-MB blocks
-        cuts = np.linspace(0, q, -(-q * m // 1_000_000) + 1).astype(int)
-        margins = np.empty((np.diff(cuts).max(initial=0), m))
+        if q == 0:
+            return out
+        active, undecided = self._screen(X, out)
+        k, budget = int(np.count_nonzero(undecided)), 1_000_000
+        # the gathered rows and the margins share a budget of about 8 MB;
+        # gather only while a margins chunk stays as tall as without the
+        # screen, else multiply every row (the decided ones included)
+        if k * (d + budget // m) < budget:
+            rows, room, base = self.signed[undecided], budget - k * d, active @ self.signed
+        else:
+            rows, room, base = self.signed, budget, None
+        # margins in chunks of near-equal size, so a chunk is one row only
+        # when X is (BLAS rounds one row differently), into one buffer, so the
+        # footprint does not hinge on where malloc put freed multi-MB blocks
+        cuts = np.linspace(0, q, max(-(-q * len(rows) // room), 1) + 1).astype(int)
+        margins = np.empty((np.diff(cuts).max(), len(rows)))
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            coef = np.matmul(X[lo:hi], self.signed.T, out=margins[: hi - lo])
+            coef = np.matmul(X[lo:hi], rows.T, out=margins[: hi - lo])
             # the hinge mask, 1.0 where the margin is <= 1, over the margins
             np.less_equal(coef, 1.0, out=coef, casting="unsafe")
-            np.matmul(coef, self.signed, out=out[lo:hi])
+            np.matmul(coef, rows, out=out[lo:hi])
+        if base is not None:
+            out += base  # the rows active at every point, summed once
         out /= -m  # an active row contributes the hinge subgradient -b_s * a_s
         out += self.lam * np.sign(X) * (np.abs(X) < self.alpha)
         return out

@@ -53,6 +53,14 @@ def test_zero_rounds_is_identity():
     assert np.array_equal(plain_gossip(m, z, 0), z)
 
 
+def test_gossip_result_never_aliases_the_input():
+    m = build_ring(8, 1)
+    z = np.random.default_rng(1).standard_normal((8, 5))
+    for r in (0, 1):
+        for out in (plain_gossip(m, z, r), fast_gossip(GossipConfig(m, r), z)):
+            assert not np.shares_memory(out, z), r
+
+
 def test_consensus_is_fixed_point():
     m = build_ring(8, 2)
     v = np.random.default_rng(2).standard_normal(5)

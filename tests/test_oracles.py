@@ -168,8 +168,9 @@ def dense_reference_subgradients(p, X):
     return coef @ a / a.shape[0] + p.lam * np.sign(X) * (np.abs(X) < p.alpha)
 
 
-def test_svm_full_subgradients_match_dense_reference(rng):
-    d, alpha, m = 6, 0.5, 8000
+def real_valued_svm(rng, m=8000, d=6, alpha=0.5):
+    """An SVM with m real-valued rows of 3 features over 4 clients, and a
+    point `edge` at which its first row's margin is exactly 1."""
     # margin exactly 1 at `edge` in any summation order: -1 * (2 * -0.5)
     tied = (-1, [0, 2], [2.0, 0.5])
     samples = [tied]
@@ -186,19 +187,107 @@ def test_svm_full_subgradients_match_dense_reference(rng):
     edge[1] = alpha  # on the cap the penalty is flat
     edge[3] = -alpha
     assert p.labels[0] * float((p.labels[0] * p.signed[0]) @ edge) == 1.0
+    return p, edge
+
+
+def assert_matches_dense_reference(p, X):
+    got = p.full_subgradients(X)
+    want = dense_reference_subgradients(p, X)
+    # the summation order over the m rows may differ between the two
+    # products, so allow m roundings of the largest term
+    tol = p.signed.shape[0] * np.finfo(float).eps * np.abs(p.signed).max()
+    assert got.shape == want.shape == X.shape
+    assert np.allclose(got, want, rtol=0, atol=tol, equal_nan=True), X.shape
+
+
+def screen(p, X):
+    """The kernel's (active, undecided) row masks for the points X."""
+    return p._screen(X, np.empty_like(X))
+
+
+def gathers(p, undecided):
+    """Whether the kernel multiplies only the undecided rows: while a margins
+    chunk of the 8 MB budget stays as tall as without the screen."""
+    (m, d), k = p.signed.shape, int(undecided.sum())
+    return k * (d + 1_000_000 // m) < 1_000_000
+
+
+def ball_points(rng, centre, q, radius=0.25):
+    """q points uniform in the ball around centre, as the probe draws them."""
+    g = rng.standard_normal((q, len(centre)))
+    g *= (radius * rng.random(q) ** (1.0 / len(centre)) / np.linalg.norm(g, axis=1))[:, None]
+    return centre + g
+
+
+def test_svm_full_subgradients_match_dense_reference(rng):
+    p, edge = real_valued_svm(rng)
     # the kernel takes the (q, m) margins in chunks of at most this many rows,
     # so chunk + 1 points make its first two-chunk probe, and chunk + 2 one
     # whose first chunk fills only part of the shared margins buffer
-    chunk = 1_000_000 // m
+    chunk = 1_000_000 // p.signed.shape[0]
     for q in (1, chunk, chunk + 1, chunk + 2):
-        X = np.vstack([edge, 2.0 * rng.standard_normal((q - 1, d))])
-        got = p.full_subgradients(X)
-        want = dense_reference_subgradients(p, X)
-        # the summation order over the m rows may differ between the two
-        # products, so allow m roundings of the largest term
-        tol = m * np.finfo(float).eps * np.abs(p.signed).max()
-        assert got.shape == want.shape == (q, d)
-        assert np.allclose(got, want, rtol=0, atol=tol), q
+        X = np.vstack([edge, 2.0 * rng.standard_normal((q - 1, p.d))])
+        assert_matches_dense_reference(p, X)
+
+
+def test_svm_screened_ball_points_match_dense_reference(rng):
+    p, edge = real_valued_svm(rng)
+    chunk = 1_000_000 // p.signed.shape[0]
+    for q in (1, 64, chunk + 2):
+        # a probe ball of radius delta / 2 = 0.25 that holds `edge`, where the
+        # tied first row has margin exactly 1 and must count as active
+        X = np.vstack([edge, ball_points(rng, edge, q - 1)])
+        active, undecided = screen(p, X)
+        margins = X @ p.signed.T
+        # a decided row has the same hinge state at every point
+        assert np.all(margins[:, active] <= 1.0)
+        assert np.all(margins[:, ~active & ~undecided] > 1.0)
+        assert undecided[0]
+        if q > 1:
+            assert active.any() and (~active & ~undecided).any()
+        assert gathers(p, undecided)
+        assert_matches_dense_reference(p, X)
+
+
+def test_svm_kernel_matches_on_both_sides_of_the_gather_cut(rng):
+    p, edge = real_valued_svm(rng)
+    near = ball_points(rng, edge, 64)
+    wide = near + 4.0 * rng.standard_normal(near.shape)
+    assert gathers(p, screen(p, near)[1])
+    assert not gathers(p, screen(p, wide)[1])
+    for X in (near, wide):
+        assert_matches_dense_reference(p, X)
+
+
+def test_svm_rows_within_the_slack_go_through_the_product():
+    # one row a = e_0 and two points 0.25 either side of the centre, so
+    # rho |a| = 0.25; the margin at the centre lies t beyond 1 +- 0.25, within
+    # the slack 4 d eps |a| (|c| + rho) > t, so only rounding could decide the
+    # row, and the screen must leave it to the product
+    d, t = 8, 2.0**-48
+    p = svm_from_rows([[(1, [0], [1.0])]], d)
+    for centre in (1.25 + t, 0.75 - t):
+        X = np.zeros((2, d))
+        X[:, 0] = [centre - 0.25, centre + 0.25]
+        assert X.mean(axis=0)[0] == centre
+        active, undecided = screen(p, X)
+        assert undecided.all() and not active.any()
+        assert_matches_dense_reference(p, X)
+
+
+def test_svm_non_finite_points_match_dense_reference(rng):
+    p, edge = real_valued_svm(rng)
+    X = ball_points(rng, edge, 64)
+    X[5] = np.nan
+    assert screen(p, X)[1].all()
+    assert_matches_dense_reference(p, X)
+
+
+@pytest.mark.filterwarnings("error")
+def test_svm_full_subgradients_of_no_points_is_empty(rng):
+    p, _ = real_valued_svm(rng, m=40)
+    got = p.full_subgradients(np.empty((0, p.d)))
+    assert got.shape == (0, p.d)
 
 
 def test_svm_index_errors():
