@@ -9,8 +9,10 @@ __version__ = "0.1.0"
 # product with a precomputed operator; 2: that operator; 3: one s, client,
 # xi and z generator per epoch, consumed in step order, in place of one
 # per step; 4: the stationarity probe sums the rows its screen finds active
-# at every point as one vector, apart from the rows it multiplies.
-TRACE_FORMAT = 4
+# at every point as one vector, apart from the rows it multiplies; 5: the
+# probe adds the rows the margins find active at every point to that vector
+# too, and sums the rest block by block.
+TRACE_FORMAT = 5
 
 from .core import (
     DivergenceError,

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -302,6 +302,19 @@ def write_synthetic_libsvm(path: str, m: int, d: int, seed: int, nnz_per_row: in
 
 # -- problems ----------------------------------------------------------------
 
+# float64 values (about 8 MB) that the chunks of one probe kernel call hold
+_BUDGET = 1_000_000
+
+
+def _cuts(total: int, most: int) -> np.ndarray:
+    """Bounds of near-equal parts of range(total), the last one the
+    shortest, each of at most `most` items, and of at least 2 unless total
+    is 1 (so parts may exceed a `most` below 3): BLAS multiplies a single
+    row with its vector kernel, which rounds differently from its matrix
+    kernel."""
+    parts = max(min(-(-total // max(most, 1)), total // 2), 1)
+    return (np.arange(parts + 1) * total + parts - 1) // parts
+
 
 def _client_slices(counts: list[int]) -> list[slice]:
     offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -380,7 +393,14 @@ class CappedHingeSvmProblem(_ShardedProblem):
         signed[np.repeat(np.arange(m), np.diff(rows.indptr)), rows.indices] = rows.values
         labels = rows.labels.astype(np.float64)
         signed *= labels[:, None]
-        row_norms = np.sqrt(np.add.reduce(signed * signed, axis=1))
+        # the per-row reduction of sqrt(add.reduce(signed * signed, axis=1)),
+        # over row blocks of about 512 KB rather than one (m, d) temporary
+        row_norms = np.empty(m)
+        step = max((1 << 16) // d, 1)
+        for lo in range(0, m, step):
+            block = signed[lo : lo + step]
+            np.add.reduce(block * block, axis=1, out=row_norms[lo : lo + step])
+        np.sqrt(row_norms, out=row_norms)
         bound = float(row_norms.max()) + lam * np.sqrt(d)
         return cls(
             d=d,
@@ -434,34 +454,51 @@ class CappedHingeSvmProblem(_ShardedProblem):
     # at margin <= 1; the penalty subgradient is lam * sign(x_j) strictly
     # inside the cap |x_j| < alpha and 0 outside.
     def full_subgradients(self, X: np.ndarray) -> np.ndarray:
-        q, (m, d) = X.shape[0], self.signed.shape
         out = np.empty_like(X)
-        if q == 0:
+        if X.shape[0] == 0:
             return out
         active, undecided = self._screen(X, out)
-        k, budget = int(np.count_nonzero(undecided)), 1_000_000
-        # the gathered rows and the margins share a budget of about 8 MB;
-        # gather only while a margins chunk stays as tall as without the
-        # screen, else multiply every row (the decided ones included)
-        if k * (d + budget // m) < budget:
-            rows, room, base = self.signed[undecided], budget - k * d, active @ self.signed
-        else:
-            rows, room, base = self.signed, budget, None
-        # margins in chunks of near-equal size, so a chunk is one row only
-        # when X is (BLAS rounds one row differently), into one buffer, so the
-        # footprint does not hinge on where malloc put freed multi-MB blocks
-        cuts = np.linspace(0, q, max(-(-q * len(rows) // room), 1) + 1).astype(int)
-        margins = np.empty((np.diff(cuts).max(), len(rows)))
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            coef = np.matmul(X[lo:hi], rows.T, out=margins[: hi - lo])
-            # the hinge mask, 1.0 where the margin is <= 1, over the margins
-            np.less_equal(coef, 1.0, out=coef, casting="unsafe")
-            np.matmul(coef, rows, out=out[lo:hi])
-        if base is not None:
-            out += base  # the rows active at every point, summed once
-        out /= -m  # an active row contributes the hinge subgradient -b_s * a_s
+        self._hinge_sums(X, active, np.flatnonzero(undecided), out)
+        out /= -self.signed.shape[0]  # an active row contributes -b_s * a_s
         out += self.lam * np.sign(X) * (np.abs(X) < self.alpha)
         return out
+
+    def _hinge_sums(self, X: np.ndarray, active: np.ndarray, rows: np.ndarray,
+                    out: np.ndarray) -> None:
+        """Write into row p of out the sum of the signed rows whose hinge is
+        active at X[p]: the rows of the mask active (updated in place), and
+        those of the undecided rows whose margin at X[p] is <= 1.
+
+        The undecided rows go in near-equal blocks. A block's rows are
+        gathered, their margins at every point taken and turned into the 0/1
+        hinge mask, and each row's count of active points read off it. A row
+        active at every point joins active; one active at none drops out;
+        only the mixed rows, with 0 < count < q, are multiplied, block by
+        block. The gathered block, its margins and the copy of its mixed
+        columns share a budget of about 8 MB, each in one buffer per call,
+        so the footprint does not hinge on where malloc put freed blocks."""
+        q, d = X.shape
+        out.fill(0.0)
+        if len(rows):
+            cuts = _cuts(len(rows), _BUDGET // (d + 2 * q))
+            most = int(np.diff(cuts).max())
+            gathered, margins, mixed_cols = np.empty((most, d)), np.empty(q * most), np.empty(q * most)
+            part = np.empty_like(out)
+            for block in (rows[lo:hi] for lo, hi in pairwise(cuts)):
+                # mode="clip" (the indices are in range) writes out unbuffered
+                a = np.take(self.signed, block, axis=0, out=gathered[: len(block)], mode="clip")
+                hinge = np.matmul(X, a.T, out=margins[: q * len(block)].reshape(q, -1))
+                np.less_equal(hinge, 1.0, out=hinge, casting="unsafe")
+                counts = np.add.reduce(hinge, axis=0)
+                active[block[counts == q]] = True
+                mixed = np.flatnonzero((counts > 0) & (counts < q))
+                if len(mixed):
+                    cols = np.take(hinge, mixed, axis=1, mode="clip",
+                                   out=mixed_cols[: q * len(mixed)].reshape(q, -1))
+                    a = np.take(self.signed, block[mixed], axis=0, out=gathered[: len(mixed)],
+                                mode="clip")
+                    out += np.matmul(cols, a, out=part)
+        out += active @ self.signed  # the rows active at every point, summed once
 
 
 @dataclass
@@ -545,14 +582,29 @@ class PiecewiseProblem(_ShardedProblem):
         max_part = np.maximum(self.U @ x + self.p, self.V @ x + self.q)
         return float((abs_part + max_part).mean())
 
+    # Over the points in near-equal chunks, so the three (chunk, m)
+    # temporaries of a chunk fit a budget of about 8 MB.
     def full_subgradients(self, X: np.ndarray) -> np.ndarray:
         m = self.C.shape[0]
-        signs = np.sign(X @ self.C.T)  # (q, m)
-        first = (X @ self.U.T + self.p) >= (X @ self.V.T + self.q)
-        out = signs @ self.C
+        out = np.empty_like(X)
+        for lo, hi in pairwise(_cuts(X.shape[0], _BUDGET // (3 * m))):
+            self._subgradient_sums(X[lo:hi], out[lo:hi])
+        out /= m
+        return out
+
+    def _subgradient_sums(self, X: np.ndarray, out: np.ndarray) -> None:
+        """Write into row p of out the sum over the samples of their
+        subgradients at X[p]; the temporaries go when it returns."""
+        signs = X @ self.C.T
+        first = X @ self.U.T
+        first += self.p
+        second = X @ self.V.T
+        second += self.q
+        # 1.0 where the first piece is the max (ties included), else 0.0
+        np.greater_equal(first, second, out=first, casting="unsafe")
+        np.matmul(np.sign(signs, out=signs), self.C, out=out)
         out += first @ self.U
-        out += (~first) @ self.V
-        return out / m
+        out += np.subtract(1.0, first, out=first) @ self.V
 
 
 # -- estimators ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,11 +206,10 @@ def screen(p, X):
     return p._screen(X, np.empty_like(X))
 
 
-def gathers(p, undecided):
-    """Whether the kernel multiplies only the undecided rows: while a margins
-    chunk of the 8 MB budget stays as tall as without the screen."""
-    (m, d), k = p.signed.shape, int(undecided.sum())
-    return k * (d + 1_000_000 // m) < 1_000_000
+def hinge_counts(p, X):
+    """Each row's count of the points of X at which the full product puts
+    its margin at <= 1."""
+    return np.add.reduce(X @ p.signed.T <= 1.0, axis=0)
 
 
 def ball_points(rng, centre, q, radius=0.25):
@@ -221,19 +221,16 @@ def ball_points(rng, centre, q, radius=0.25):
 
 def test_svm_full_subgradients_match_dense_reference(rng):
     p, edge = real_valued_svm(rng)
-    # the kernel takes the (q, m) margins in chunks of at most this many rows,
-    # so chunk + 1 points make its first two-chunk probe, and chunk + 2 one
-    # whose first chunk fills only part of the shared margins buffer
-    chunk = 1_000_000 // p.signed.shape[0]
-    for q in (1, chunk, chunk + 1, chunk + 2):
+    # these points leave nearly every row undecided; q = 1 has no mixed
+    # rows, q = 2 takes them in one block and 125 or 127 points in three
+    for q in (1, 2, 125, 127):
         X = np.vstack([edge, 2.0 * rng.standard_normal((q - 1, p.d))])
         assert_matches_dense_reference(p, X)
 
 
 def test_svm_screened_ball_points_match_dense_reference(rng):
     p, edge = real_valued_svm(rng)
-    chunk = 1_000_000 // p.signed.shape[0]
-    for q in (1, 64, chunk + 2):
+    for q in (1, 64, 127):
         # a probe ball of radius delta / 2 = 0.25 that holds `edge`, where the
         # tied first row has margin exactly 1 and must count as active
         X = np.vstack([edge, ball_points(rng, edge, q - 1)])
@@ -245,17 +242,47 @@ def test_svm_screened_ball_points_match_dense_reference(rng):
         assert undecided[0]
         if q > 1:
             assert active.any() and (~active & ~undecided).any()
-        assert gathers(p, undecided)
         assert_matches_dense_reference(p, X)
 
 
-def test_svm_kernel_matches_on_both_sides_of_the_gather_cut(rng):
+def test_svm_ball_probe_rows_of_every_class_match_dense_reference(rng):
     p, edge = real_valued_svm(rng)
-    near = ball_points(rng, edge, 64)
-    wide = near + 4.0 * rng.standard_normal(near.shape)
-    assert gathers(p, screen(p, near)[1])
-    assert not gathers(p, screen(p, wide)[1])
-    for X in (near, wide):
+    X = np.vstack([edge, ball_points(rng, edge, 63)])
+    q = len(X)
+    active, undecided = screen(p, X)
+    counts = hinge_counts(p, X)
+    assert active.any()  # screened active
+    assert (~active & ~undecided).any()  # screened inactive
+    # undecided, yet active at every point or at none
+    assert (undecided & (counts == q)).any() and (undecided & (counts == 0)).any()
+    assert (undecided & (counts > 0) & (counts < q)).any()  # mixed
+    assert_matches_dense_reference(p, X)
+
+
+def test_svm_undecided_rows_over_several_blocks_match_dense_reference(rng):
+    p, edge = real_valued_svm(rng)
+    d, q = p.d, 1000
+    X = np.vstack([edge, 2.0 * rng.standard_normal((q - 1, d))])
+    undecided = screen(p, X)[1]
+    counts = hinge_counts(p, X)[undecided]
+    assert ((counts > 0) & (counts < q)).any()
+    # the blocks the kernel takes the undecided rows in: at least two, and
+    # the last one fills only part of the shared buffers
+    blocks = np.diff(oracles._cuts(len(counts), oracles._BUDGET // (d + 2 * q)))
+    assert len(blocks) >= 2 and blocks[-1] < blocks.max()
+    assert_matches_dense_reference(p, X)
+
+
+def test_svm_tied_row_counts_as_active(rng):
+    p, edge = real_valued_svm(rng)
+    far = edge.copy()
+    far[0] = -2.0  # the tied first row's margin is 4 here
+    # the tie alone, at every point (ties leave the row to the counts), and
+    # beside points where the row is inactive (a mixed row)
+    for X, count in ((edge[None, :], 1), (np.vstack([edge] * 3), 3),
+                     (np.vstack([edge, far, far]), 1)):
+        assert screen(p, X)[1][0]
+        assert hinge_counts(p, X)[0] == count
         assert_matches_dense_reference(p, X)
 
 
@@ -281,6 +308,29 @@ def test_svm_non_finite_points_match_dense_reference(rng):
     X[5] = np.nan
     assert screen(p, X)[1].all()
     assert_matches_dense_reference(p, X)
+    # a NaN margin is not <= 1, so beside the NaN point a row active at
+    # every other point is mixed, and alone the NaN point has no active row
+    nan = np.full(p.d, np.nan)
+    for X in (np.vstack([edge, edge, nan]), nan[None, :]):
+        assert (hinge_counts(p, X) < len(X)).all()
+        assert_matches_dense_reference(p, X)
+
+
+def test_svm_kernel_peak_memory_stays_within_its_budget(synthetic_libsvm_path):
+    data = load_libsvm(synthetic_libsvm_path, 123)
+    p = CappedHingeSvmProblem.from_shards(data, shard(data, 4, 1), 123)
+    X = 0.5 * np.random.default_rng(1).standard_normal((1024, 123))
+    counts = hinge_counts(p, X)
+    assert screen(p, X)[1].all() and ((counts > 0) & (counts < len(X))).all()
+    tracemalloc.start()
+    try:
+        p.full_subgradients(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 8 MB budget, the output and one (q, d) partial sum; the kernel
+    # that multiplied every undecided row peaked at 10.46 MB here
+    assert peak <= 8e6 + 2 * X.nbytes + 0.3e6, peak
 
 
 @pytest.mark.filterwarnings("error")
@@ -288,6 +338,60 @@ def test_svm_full_subgradients_of_no_points_is_empty(rng):
     p, _ = real_valued_svm(rng, m=40)
     got = p.full_subgradients(np.empty((0, p.d)))
     assert got.shape == (0, p.d)
+
+
+def test_svm_row_norms_are_the_unblocked_reduction(rng):
+    m, d = 3000, 123  # several row blocks of the reduction, the last one partial
+    rows = [(1 - 2 * (s % 2), np.arange(d), rng.standard_normal(d)) for s in range(m)]
+    p = svm_from_rows([rows], d)
+    assert np.array_equal(p.row_norms, np.sqrt(np.add.reduce(p.signed * p.signed, axis=1)))
+
+
+def test_probe_chunks_are_near_equal_and_never_one_row():
+    for total in range(1, 80):
+        for most in range(0, 30):
+            cuts = oracles._cuts(total, most)
+            parts = np.diff(cuts)
+            assert cuts[0] == 0 and cuts[-1] == total
+            assert parts.max() - parts.min() <= 1 and parts[-1] == parts.min()
+            # a one-row part would round like a vector product
+            assert parts.min() >= min(total, 2)
+            assert parts.max() <= max(most, 3)
+
+
+def unchunked_piecewise_subgradients(p, X):
+    """The piecewise probe formula over all points at once."""
+    signs = np.sign(X @ p.C.T)
+    first = (X @ p.U.T + p.p) >= (X @ p.V.T + p.q)
+    out = signs @ p.C
+    out += first @ p.U
+    out += (~first) @ p.V
+    return out / p.C.shape[0]
+
+
+def test_piecewise_full_subgradients_match_the_unchunked_formula(rng):
+    p = PiecewiseProblem.generate(n=4, d=10, samples_per_client=500, seed=3)
+    m = p.C.shape[0]
+    chunk = oracles._BUDGET // (3 * m)  # the most points one chunk takes
+    for q in (1, 2, 3, chunk, chunk + 1, 2 * chunk + 1):
+        X = rng.standard_normal((q, p.d))
+        got, want = p.full_subgradients(X), unchunked_piecewise_subgradients(p, X)
+        tol = 3 * np.finfo(float).eps * max(np.abs(a).max() for a in (p.C, p.U, p.V))
+        assert got.shape == want.shape == X.shape
+        assert np.allclose(got, want, rtol=0, atol=tol), q
+
+
+def test_piecewise_kernel_peak_memory_stays_within_its_budget(rng):
+    p = PiecewiseProblem.generate(n=4, d=10, samples_per_client=500, seed=3)
+    X = rng.standard_normal((4096, p.d))
+    tracemalloc.start()
+    try:
+        p.full_subgradients(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # unchunked, its four (q, m) temporaries took about 250 MB here
+    assert peak <= 8e6 + X.nbytes + 0.3e6, peak
 
 
 def test_svm_index_errors():
