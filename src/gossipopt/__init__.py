@@ -10,8 +10,9 @@ __version__ = "0.1.0"
 # xi and z generator per epoch, consumed in step order, in place of one
 # per step; 4: the stationarity probe sums the rows its screen finds active
 # at every point as one vector, apart from the rows it multiplies; 5: the
-# probe adds the rows the margins find active at every point to that vector
-# too, and sums the rest block by block.
+# probe takes its rows block by block, and in each block sums the rows the
+# screen or the margins find active at every point as one vector, apart
+# from the rest.
 TRACE_FORMAT = 5
 
 from .core import (

@@ -304,6 +304,9 @@ def write_synthetic_libsvm(path: str, m: int, d: int, seed: int, nnz_per_row: in
 
 # float64 values (about 8 MB) that the chunks of one probe kernel call hold
 _BUDGET = 1_000_000
+# float64 values (about 4 MB) that the buffers of one row block of the hinge
+# probe hold: half the budget, as they outlive the call
+_BLOCK = _BUDGET // 2
 
 
 def _cuts(total: int, most: int) -> np.ndarray:
@@ -352,7 +355,8 @@ class CappedHingeSvmProblem(_ShardedProblem):
     whose row s is b_s * a_s, so a margin b a'x is one product with it;
     negating by b = +-1 is exact, so every value equals the one computed
     from a and b. Each client owns a contiguous row block of it; labels
-    keeps the b_s. Immutable after construction.
+    keeps the b_s. Immutable after construction, apart from the buffer the
+    probe kernel keeps across calls.
     """
 
     d: int
@@ -365,6 +369,8 @@ class CappedHingeSvmProblem(_ShardedProblem):
     slices: list[slice] = field(repr=False)
     lipschitz_L: float = 0.0
     grad_bound_G: float = 0.0
+    _buffer: np.ndarray = field(default_factory=lambda: np.empty(0), init=False,
+                                repr=False, compare=False)
 
     @classmethod
     def from_shards(
@@ -436,19 +442,33 @@ class CappedHingeSvmProblem(_ShardedProblem):
         pen = self.lam * np.minimum(np.abs(x), self.alpha).sum()
         return float(hinge + pen)
 
-    def _screen(self, X: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Masks of the rows active at every row of X and of the rows left
-        undecided (El Ghaoui, Viallon & Rabbani 2012): each point is within
-        rho of the centre c, so a margin is within rho * |a_s| of its value
-        at c, and the slack covers the rounding of both products. Non-finite
-        X leaves every row undecided. Overwrites the (q, d) scratch."""
+    def _ball(self, X: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, float]:
+        """The centre c of the rows of X and a radius r around it that holds
+        them all, widened by a slack that covers the rounding of both margin
+        products; r is nan for non-finite X. Overwrites the (q, d) scratch."""
         c = np.add.reduce(X, axis=0) / X.shape[0]
         np.square(np.subtract(X, c, out=scratch), out=scratch)
         rho = math.sqrt(np.add.reduce(scratch, axis=1).max())
-        slack = 4 * self.d * np.finfo(float).eps * (math.sqrt(c @ c) + rho)
-        reach = self.row_norms * (rho + slack)
-        gap = self.signed @ c - 1.0
+        return c, rho + 4 * self.d * np.finfo(float).eps * (math.sqrt(c @ c) + rho)
+
+    def _screen(self, c: np.ndarray, r: float, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the rows signed[rows] active at every point of the ball
+        (c, r) and of those left undecided (El Ghaoui, Viallon & Rabbani
+        2012): within the ball a margin is within r * |a_s| of its value at
+        c. A nan r leaves every row undecided."""
+        reach = self.row_norms[rows] * r
+        gap = self.signed[rows] @ c - 1.0
         return gap < -reach, ~(np.abs(gap) > reach)
+
+    def _scratch(self, *sizes: int) -> list[np.ndarray]:
+        """Flat float64 views of the given sizes into one buffer the problem
+        keeps across calls, grown as needed, so the probe kernel's pages are
+        faulted in once rather than on every call, whatever malloc does with
+        freed multi-MB blocks."""
+        bounds = np.cumsum((0, *sizes))
+        if len(self._buffer) < bounds[-1]:
+            self._buffer = np.empty(bounds[-1])
+        return [self._buffer[lo:hi] for lo, hi in pairwise(bounds)]
 
     # Batched over the rows of the (q, d) probe points X. The hinge is active
     # at margin <= 1; the penalty subgradient is lam * sign(x_j) strictly
@@ -457,48 +477,59 @@ class CappedHingeSvmProblem(_ShardedProblem):
         out = np.empty_like(X)
         if X.shape[0] == 0:
             return out
-        active, undecided = self._screen(X, out)
-        self._hinge_sums(X, active, np.flatnonzero(undecided), out)
+        self._hinge_sums(X, *self._ball(X, out), out)
         out /= -self.signed.shape[0]  # an active row contributes -b_s * a_s
         out += self.lam * np.sign(X) * (np.abs(X) < self.alpha)
         return out
 
-    def _hinge_sums(self, X: np.ndarray, active: np.ndarray, rows: np.ndarray,
-                    out: np.ndarray) -> None:
+    def _hinge_sums(self, X: np.ndarray, c: np.ndarray, r: float, out: np.ndarray) -> None:
         """Write into row p of out the sum of the signed rows whose hinge is
-        active at X[p]: the rows of the mask active (updated in place), and
-        those of the undecided rows whose margin at X[p] is <= 1.
+        active at X[p], for points X within the ball (c, r).
 
-        The undecided rows go in near-equal blocks. A block's rows are
-        gathered, their margins at every point taken and turned into the 0/1
-        hinge mask, and each row's count of active points read off it. A row
-        active at every point joins active; one active at none drops out;
-        only the mixed rows, with 0 < count < q, are multiplied, block by
-        block. The gathered block, its margins and the copy of its mixed
-        columns share a budget of about 8 MB, each in one buffer per call,
-        so the footprint does not hinge on where malloc put freed blocks."""
-        q, d = X.shape
+        The rows go in near-equal row blocks, so each block of signed is
+        read from memory once per call and the rest of its work stays in
+        cache. The screen decides the rows whose hinge state is the same at
+        every point. The undecided rows are gathered, their margins at every
+        point taken and turned into the 0/1 hinge mask, and each row's count
+        of active points read off it. A row active at every point joins the
+        screened active rows, summed with one product per block; one active at
+        none drops out; only the mixed rows, with 0 < count < q, are
+        multiplied. The gathered rows, the margins and the copy of the mixed
+        columns fit _BLOCK."""
+        q, (m, d) = X.shape[0], self.signed.shape
+        cuts = _cuts(m, _BLOCK // (d + 2 * q))
+        most = int(np.diff(cuts).max())
+        gathered, margins, mixed_cols, part, base = self._scratch(
+            most * d, q * most, q * most, q * d, d)
+        part = part.reshape(q, d)
         out.fill(0.0)
-        if len(rows):
-            cuts = _cuts(len(rows), _BUDGET // (d + 2 * q))
-            most = int(np.diff(cuts).max())
-            gathered, margins, mixed_cols = np.empty((most, d)), np.empty(q * most), np.empty(q * most)
-            part = np.empty_like(out)
-            for block in (rows[lo:hi] for lo, hi in pairwise(cuts)):
+        base.fill(0.0)
+        for lo, hi in pairwise(cuts):
+            signed = self.signed[lo:hi]
+            active, undecided = self._screen(c, r, slice(lo, hi))
+            rows = np.flatnonzero(undecided)
+            if len(rows) == 1 < len(signed):
+                # BLAS multiplies a single row with its vector kernel, which
+                # rounds differently from its matrix kernel, so a decided row
+                # (the same hinge state at every point) rides along
+                rows = np.array([rows[0], (rows[0] + 1) % len(signed)])
+            if len(rows):
                 # mode="clip" (the indices are in range) writes out unbuffered
-                a = np.take(self.signed, block, axis=0, out=gathered[: len(block)], mode="clip")
-                hinge = np.matmul(X, a.T, out=margins[: q * len(block)].reshape(q, -1))
+                a = np.take(signed, rows, axis=0, out=gathered[: len(rows) * d].reshape(-1, d),
+                            mode="clip")
+                hinge = np.matmul(X, a.T, out=margins[: q * len(rows)].reshape(q, -1))
                 np.less_equal(hinge, 1.0, out=hinge, casting="unsafe")
                 counts = np.add.reduce(hinge, axis=0)
-                active[block[counts == q]] = True
+                active[rows[counts == q]] = True
                 mixed = np.flatnonzero((counts > 0) & (counts < q))
                 if len(mixed):
                     cols = np.take(hinge, mixed, axis=1, mode="clip",
                                    out=mixed_cols[: q * len(mixed)].reshape(q, -1))
-                    a = np.take(self.signed, block[mixed], axis=0, out=gathered[: len(mixed)],
-                                mode="clip")
+                    a = np.take(signed, rows[mixed], axis=0, mode="clip",
+                                out=gathered[: len(mixed) * d].reshape(-1, d))
                     out += np.matmul(cols, a, out=part)
-        out += active @ self.signed  # the rows active at every point, summed once
+            base += active @ signed  # the rows active at every point
+        out += base
 
 
 @dataclass

@@ -203,7 +203,7 @@ def assert_matches_dense_reference(p, X):
 
 def screen(p, X):
     """The kernel's (active, undecided) row masks for the points X."""
-    return p._screen(X, np.empty_like(X))
+    return p._screen(*p._ball(X, np.empty_like(X)), slice(None))
 
 
 def hinge_counts(p, X):
@@ -261,16 +261,43 @@ def test_svm_ball_probe_rows_of_every_class_match_dense_reference(rng):
 
 def test_svm_undecided_rows_over_several_blocks_match_dense_reference(rng):
     p, edge = real_valued_svm(rng)
-    d, q = p.d, 1000
+    (m, d), q = p.signed.shape, 1000
     X = np.vstack([edge, 2.0 * rng.standard_normal((q - 1, d))])
     undecided = screen(p, X)[1]
-    counts = hinge_counts(p, X)[undecided]
-    assert ((counts > 0) & (counts < q)).any()
-    # the blocks the kernel takes the undecided rows in: at least two, and
+    counts = hinge_counts(p, X)
+    assert ((counts > 0) & (counts < q))[undecided].any()
+    # the row blocks the kernel takes: at least two hold undecided rows, and
     # the last one fills only part of the shared buffers
-    blocks = np.diff(oracles._cuts(len(counts), oracles._BUDGET // (d + 2 * q)))
-    assert len(blocks) >= 2 and blocks[-1] < blocks.max()
+    cuts = oracles._cuts(m, oracles._BLOCK // (d + 2 * q))
+    blocks = np.diff(cuts)
+    assert np.count_nonzero(np.add.reduceat(undecided, cuts[:-1])) >= 2
+    assert blocks[-1] < blocks.max()
     assert_matches_dense_reference(p, X)
+
+
+def test_svm_lone_undecided_row_of_a_block_matches_dense_reference(rng):
+    p, edge = real_valued_svm(rng)
+    # every point at edge: the screen's radius is 0 and it leaves only the
+    # tied first row undecided, alone in its block, so the decided row after
+    # it rides along into the margin product; screened active, it must not
+    # count twice
+    X = np.vstack([edge] * 3)
+    active, undecided = screen(p, X)
+    assert np.flatnonzero(undecided).tolist() == [0]
+    assert active[1] and hinge_counts(p, X)[1] == len(X)
+    assert_matches_dense_reference(p, X)
+
+
+def test_svm_probe_buffer_is_reused_across_calls(rng):
+    p, edge = real_valued_svm(rng)
+    X = ball_points(rng, edge, 64)
+    first = p.full_subgradients(X)
+    buffer = p._buffer
+    assert buffer.size > 0
+    # a call of no more points reuses the buffer and gives the same bits
+    assert np.array_equal(p.full_subgradients(X), first)
+    assert p.full_subgradients(X[:8]).shape == (8, p.d)
+    assert p._buffer is buffer
 
 
 def test_svm_tied_row_counts_as_active(rng):
