@@ -243,10 +243,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         )
     if not run.seeds:
         raise ConfigError("run.seeds: at least one seed is required")
-    repeated = [seed for i, seed in enumerate(run.seeds) if seed in run.seeds[:i]]
-    if repeated:
-        # each seed's run writes trace_<seed>.csv, so a repeat would overwrite it
-        raise ConfigError(f"run.seeds: must be distinct; seed {repeated[0]} is repeated")
+    # each grid cell writes under its own eta..._D... directory and each seed's
+    # run writes trace_<seed>.csv there, so a repeat would overwrite a trace
+    for key, values in (("run.seeds", run.seeds), ("algorithm.eta", alg.eta),
+                        ("algorithm.D", alg.D)):
+        repeated = [v for i, v in enumerate(values or ()) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"{key}: must be distinct; {repeated[0]} is repeated")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

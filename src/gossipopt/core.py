@@ -15,6 +15,10 @@ Randomness is organized in decoupled per-purpose streams derived from the
 plan seed (see rng module), one generator per (purpose, epoch) consumed in
 step order; the full trajectory is a deterministic function of (seed, plan,
 problem, matrix).
+
+Each estimator call counts as one sample: a zeroth-order call is one
+two-point query, and its two raw function evaluations are counted apart in
+function_evals. A driver's step counts the calls it makes.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .metrics import (
     consensus_errors,
     goldstein_probe,
 )
-from .oracles import OracleSample, first_order_estimator, zeroth_order_estimator
+from .oracles import first_order_estimator, zeroth_order_estimator
 from .rng import stream
 from .topology import MixingMatrix
 
@@ -241,10 +245,6 @@ class RunCounters:
     communication_rounds: int = 0
     function_evals: int = 0
 
-    def charge(self, out: OracleSample) -> None:
-        self.samples_total += out.oracle_calls_charged
-        self.function_evals += out.function_evals
-
 
 @dataclass(frozen=True)
 class StepSnapshot:
@@ -294,7 +294,7 @@ def run_docs(
     """
     _check_compatible(plan, problem, matrix)
     n = plan.n
-    estimator = _estimator(plan)
+    estimator, evals = _estimator(plan)
     gossip_cfg = GossipConfig(matrix, plan.R)
 
     def step(k, t, y, delta_half, w, rng_client, rng_xi, rng_z, counters):
@@ -302,10 +302,11 @@ def run_docs(
         x = y.copy()
         x[i] += n * delta_half[i]
         y = fast_gossip(gossip_cfg, x)
-        out = estimator(problem, i, w[i], plan.delta_prime, rng_xi, rng_z)
-        counters.charge(out)
+        g = estimator(problem, i, w[i], plan.delta_prime, rng_xi, rng_z)
+        counters.samples_total += 1
+        counters.function_evals += evals
         delta = np.zeros(x.shape)
-        upd = inner_update(delta_half[i], out.g, plan.eta, plan.D, n)
+        upd = inner_update(delta_half[i], g, plan.eta, plan.D, n)
         delta[i] = upd
         upd_norm = math.sqrt(upd.dot(upd))
         # non-finite states fall through to the divergence check
@@ -343,16 +344,17 @@ def run_baseline_full_participation(
     round per mixing point (plan.R is not used)."""
     _check_compatible(plan, problem, matrix)
     n = plan.n
-    estimator = _estimator(plan)
+    estimator, evals = _estimator(plan)
 
     def step(k, t, y, delta_half, w, rng_client, rng_xi, rng_z, counters):
         x = y + delta_half
         y = plain_gossip(matrix, x, 1)
         delta = np.empty_like(x)
         for i in range(n):
-            out = estimator(problem, i, w[i], plan.delta_prime, rng_xi, rng_z)
-            counters.charge(out)
-            delta[i] = inner_update(delta_half[i], out.g, plan.eta, plan.D, 1)
+            g = estimator(problem, i, w[i], plan.delta_prime, rng_xi, rng_z)
+            counters.samples_total += 1
+            counters.function_evals += evals
+            delta[i] = inner_update(delta_half[i], g, plan.eta, plan.D, 1)
         return None, x, y, delta, plain_gossip(matrix, delta, 1)
 
     return _epoch_loop(plan, problem, step, 2, None, sink, metrics_every,
@@ -370,7 +372,10 @@ def _check_compatible(plan: RunPlan, problem, matrix: MixingMatrix) -> None:
 
 
 def _estimator(plan: RunPlan):
-    return first_order_estimator if plan.oracle_type == "first" else zeroth_order_estimator
+    """The plan's estimator and the raw function evaluations one call makes."""
+    if plan.oracle_type == "first":
+        return first_order_estimator, 0
+    return zeroth_order_estimator, 2
 
 
 def _require(what: str, observed: float, bound: float, k: int, t: int,
@@ -400,9 +405,10 @@ def _epoch_loop(
     the trace records with their probes. ``step(k, t, y, delta_half, w,
     rng_client, rng_xi, rng_z, counters)`` draws its active client, if it
     has one, from rng_client, queries the oracles with rng_xi and rng_z in
-    client order and mixes both stacks; it returns (active client or None,
-    x, mixed y, pre-mix update stack, mixed update stack). ``check(k, t, x,
-    y, delta_half)``, when given, runs after the divergence check.
+    client order, counts each call in counters and mixes both stacks; it
+    returns (active client or None, x, mixed y, pre-mix update stack, mixed
+    update stack). ``check(k, t, x, y, delta_half)``, when given, runs after
+    the divergence check.
     """
     n, d, seed = plan.n, plan.d, plan.seed
     # the selector has its own stream, so the output epochs are drawn first

@@ -19,8 +19,7 @@ one dense matrix.
 Estimators draw one local sample plus one perturbation direction per call:
 the first-order estimator returns a subgradient at a ball-perturbed point,
 the zeroth-order estimator a two-point finite difference along a sphere
-direction. One zeroth-order call is charged as one two-point query (two
-raw function evaluations); both counts are reported.
+direction.
 
 Subgradient tie-breaking is deterministic everywhere: sign(0) = 0 for the
 capped penalty and the |c'x| term, hinge at margin exactly 1 takes the
@@ -572,6 +571,8 @@ class PiecewiseProblem(_ShardedProblem):
         p = np.atleast_1d(np.asarray(p, dtype=np.float64))
         q = np.atleast_1d(np.asarray(q, dtype=np.float64))
         m, d = C.shape
+        if m == 0:
+            raise OracleError(f"sample count must be >= 1, got {m}")
         if m % n != 0:
             raise OracleError(f"sample count {m} not divisible by n = {n}")
         per_sample_L = np.linalg.norm(C, axis=1) + np.maximum(
@@ -641,47 +642,25 @@ class PiecewiseProblem(_ShardedProblem):
 # -- estimators ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleSample:
-    """Stochastic gradient estimate plus its oracle accounting.
-
-    oracle_calls_charged is 1 per estimator call (a zeroth-order call is
-    one two-point query); function_evals counts raw evaluations (0 for
-    first-order, 2 for zeroth-order).
-    """
-
-    g: np.ndarray
-    oracle_calls_charged: int
-    function_evals: int
-
-
 def first_order_estimator(problem, client: int, w: np.ndarray, mu: float,
-                          rng_xi: np.random.Generator, rng_z: np.random.Generator) -> OracleSample:
+                          rng_xi: np.random.Generator, rng_z: np.random.Generator) -> np.ndarray:
     """Subgradient of one random local sample at w + mu * z, z uniform in
     the unit ball."""
     if mu < 0:
         raise OracleError(f"perturbation radius must be >= 0, got {mu}")
-    m = problem.shard_size(client)
-    if m == 0:
-        raise OracleError(f"client {client} has an empty shard")
-    j = int(rng_xi.integers(m))
+    j = int(rng_xi.integers(problem.shard_size(client)))
     z = ball(rng_z, problem.d)
-    g = problem.sample_subgradient(client, j, w + mu * z)
-    return OracleSample(g=g, oracle_calls_charged=1, function_evals=0)
+    return problem.sample_subgradient(client, j, w + mu * z)
 
 
 def zeroth_order_estimator(problem, client: int, w: np.ndarray, mu: float,
-                           rng_xi: np.random.Generator, rng_z: np.random.Generator) -> OracleSample:
+                           rng_xi: np.random.Generator, rng_z: np.random.Generator) -> np.ndarray:
     """Two-point estimate (d / 2 mu) (F(w + mu z) - F(w - mu z)) z with z
     uniform on the unit sphere."""
     if mu <= 0:
         raise OracleError(f"smoothing radius must be > 0, got {mu}")
-    m = problem.shard_size(client)
-    if m == 0:
-        raise OracleError(f"client {client} has an empty shard")
-    j = int(rng_xi.integers(m))
+    j = int(rng_xi.integers(problem.shard_size(client)))
     z = sphere(rng_z, problem.d)
     f_plus = problem.sample_value(client, j, w + mu * z)
     f_minus = problem.sample_value(client, j, w - mu * z)
-    g = (problem.d / (2.0 * mu)) * (f_plus - f_minus) * z
-    return OracleSample(g=g, oracle_calls_charged=1, function_evals=2)
+    return (problem.d / (2.0 * mu)) * (f_plus - f_minus) * z

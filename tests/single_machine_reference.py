@@ -34,8 +34,8 @@ def run_reference(plan, problem, observer=None):
             x = y + delta_half
             w = y + s * delta_half
             y = x  # mixing over a one-client network is the identity
-            out = estimator(problem, 0, w, plan.delta_prime, rng_xi, rng_z)
-            v = delta_half - plan.eta * out.g
+            g = estimator(problem, 0, w, plan.delta_prime, rng_xi, rng_z)
+            v = delta_half - plan.eta * g
             norm = float(np.linalg.norm(v))
             delta_half = v if norm <= plan.D else (plan.D / norm) * v
             epoch_sums[k - 1] += w

@@ -84,7 +84,7 @@ def test_criterion_2_zeroth_order_estimator():
         acc_sq = np.zeros(20)
         second_moment = 0.0
         for _ in range(draws):
-            g = zeroth_order_estimator(problem, 0, w, mu, rng_xi, rng_z).g
+            g = zeroth_order_estimator(problem, 0, w, mu, rng_xi, rng_z)
             acc += g
             acc_sq += g * g
             second_moment += float(g @ g)

@@ -221,7 +221,12 @@ BAD_VALUES = [
     ("algorithm.delta", "nan"),
     ("algorithm.epsilon", "-0.5"),
     ("algorithm.eta", "0.002, -0.001"),
+    # a repeated value would run one grid cell twice into one directory
+    ("algorithm.eta", "0.01, 0.01"),
+    ("algorithm.eta", "0.01, 1e-2"),
     ("algorithm.D", "0"),
+    ("algorithm.D", "0.05, 0.02, 0.05"),
+    ("algorithm.D", "5e-2, 0.05"),
     ("algorithm.eps_prime", "0"),
     ("algorithm.R", "0"),
     ("algorithm.K", "0"),

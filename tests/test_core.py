@@ -379,6 +379,18 @@ def test_docs_zeroth_order_counts_queries_and_evals():
     assert out.counters.communication_rounds == 2 * plan.R * steps
 
 
+def test_baseline_zeroth_order_counts_queries_and_evals():
+    n = 4
+    problem = _toy_problem(n=n)
+    plan = small_plan(oracle_type="zeroth")
+    out = run_baseline_full_participation(plan, problem, build_ring(n, 1))
+    steps = plan.K * plan.T
+    assert out.counters.samples_total == n * steps
+    assert out.counters.function_evals == 2 * n * steps
+    assert out.counters.computation_rounds == steps
+    assert out.counters.communication_rounds == 2 * steps
+
+
 class _PoisonProblem(_NullGradientProblem):
     def sample_subgradient(self, client, j, x):
         return np.full(self.d, np.nan)
