@@ -264,8 +264,13 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def build_topology(cfg: TopologyConfig) -> MixingMatrix:
+    """The configured mixing matrix; a topology the builders reject is a
+    configuration error that names its key, and the file if there is one."""
     if cfg.kind == "file":
-        matrix = load_weights_file(cfg.path)
+        try:
+            matrix = load_weights_file(cfg.path)
+        except TopologyError as exc:
+            raise ConfigError(f"topology.path: {cfg.path}: {exc}") from None
         if matrix.n != cfg.n:
             raise ConfigError(
                 f"topology.n: declared {cfg.n} clients but {cfg.path} holds {matrix.n}"
@@ -273,9 +278,12 @@ def build_topology(cfg: TopologyConfig) -> MixingMatrix:
         return matrix
     if cfg.n == 1:
         return single_client()
-    if cfg.kind == "ring":
-        return build_ring(cfg.n, cfg.neighbors_per_side)
-    return build_complete(cfg.n)
+    try:
+        if cfg.kind == "ring":
+            return build_ring(cfg.n, cfg.neighbors_per_side)
+        return build_complete(cfg.n)
+    except TopologyError as exc:
+        raise ConfigError(f"topology.{exc.key}: {exc}") from None
 
 
 def load_dataset(cfg: ProblemConfig):

@@ -35,25 +35,23 @@ def momentum_coefficient(lambda2: float) -> float:
     return (1.0 - root) / (1.0 + root)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GossipConfig:
-    """Mixing matrix plus round count; phi is derived from lambda2.
+    """Mixing matrix plus round count.
 
     ``operator`` is the read-only (n, n) matrix M_R with
     fast_gossip(cfg, z) = M_R @ z, built in construction by running the
-    recursion on the identity.
+    recursion, with phi derived from lambda2, on the identity.
     """
 
     matrix: MixingMatrix
     rounds: int
-    phi: float = field(init=False)
-    operator: np.ndarray = field(init=False, repr=False, compare=False)
+    operator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rounds < 0:
             raise GossipError(f"rounds must be >= 0, got {self.rounds}")
         P, phi = self.matrix.weights, momentum_coefficient(self.matrix.lambda2)
-        object.__setattr__(self, "phi", phi)
         prev = np.eye(self.matrix.n)
         cur = prev.copy()
         for _ in range(self.rounds):

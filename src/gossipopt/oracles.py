@@ -11,8 +11,8 @@ Two problem families share one interface:
 
 A LIBSVM set is one LibsvmData: labels plus the CSR arrays indptr, indices
 and values. The parser matches lines with one regular expression and
-converts a chunk of about 64 KB at a time with numpy; from the first line
-that fails a check, the per-line parser takes over and gives the error.
+converts a chunk of about 64 KB at a time with numpy; a chunk with a line
+that fails a check goes whole to the per-line parser, which gives the error.
 subsample and shard pick row numbers, and the SVM scatters its rows into
 one dense matrix.
 
@@ -127,57 +127,45 @@ def _parse_lines(lines, d_hint: int) -> LibsvmData:
     pieces = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
     lineno = 1
     while chunk := lines.readlines(_CHUNK_CHARS):
-        pieces += _parse_chunk(chunk, lineno, d_hint)
+        pieces.append(_parse_chunk(chunk, lineno, d_hint))
         lineno += len(chunk)
     labels, counts, indices, values = (np.concatenate(arrays) for arrays in zip(*pieces))
     return LibsvmData(labels, _indptr(counts), indices, values)
 
 
-def _parse_chunk(chunk: list[str], lineno: int, d_hint: int) -> list[tuple]:
+def _parse_chunk(chunk: list[str], lineno: int, d_hint: int) -> tuple:
     """(labels, row lengths, indices, values) of the rows of chunk, whose
     first line has number lineno.
 
-    The fast path converts the index and value tokens of the lines that
-    match _FAST_LINE by one numpy call each, which takes each token as
-    int() or float() does. The per-line parser takes over from the first
-    line that does not match, or from the chunk's start if a token does not
-    convert or an array check fails, so every error keeps its text, line
-    and column.
+    The fast path takes the chunk when every non-blank line matches
+    _FAST_LINE: it converts the index and value tokens by one numpy call
+    each, which takes each token as int() or float() does. If a line does
+    not match, a token does not convert or an array check fails, the
+    per-line parser takes the whole chunk, so every error keeps its text,
+    line and column.
     """
-    labels, counts, features = [], [], []
-    cut = len(chunk)
-    for k, line in enumerate(chunk):
-        if match := _FAST_LINE.fullmatch(line):
-            labels.append(_LABEL_MAP[match[1]])
-            counts.append(match[2].count(":"))
-            features.append(match[2])
-        elif line.strip():
-            cut = k
-            break
-    counts = np.array(counts, dtype=np.int64)
-    tokens = " ".join(features).replace(":", " ").split()
-    try:
-        indices = np.array(tokens[::2], dtype=np.int64) - 1
-        values = np.array(tokens[1::2], dtype=np.float64)
-    except (ValueError, OverflowError):
-        cut = 0
-    else:
-        # rising[p]: indices[p + 1] starts a row or is above indices[p]
-        rising = np.diff(indices) > 0
-        starts = np.cumsum(counts) - counts
-        rising[starts[(starts > 0) & (starts < len(indices))] - 1] = True
-        if not (np.isfinite(values).all() and rising.all()
-                and indices.min(initial=0) >= 0 and indices.max(initial=0) < d_hint):
-            cut = 0
-    pieces = [(np.array(labels, dtype=np.int64), counts, indices, values)] if cut else []
-    if cut < len(chunk):
-        slow = LibsvmData.from_rows([
-            _parse_line(line, k, d_hint)
-            for k, line in enumerate(chunk[cut:], start=lineno + cut)
-            if line.strip()
-        ])
-        pieces.append((slow.labels, np.diff(slow.indptr), slow.indices, slow.values))
-    return pieces
+    matches = [_FAST_LINE.fullmatch(line) for line in chunk if line.strip()]
+    if all(matches):
+        counts = np.array([match[2].count(":") for match in matches], dtype=np.int64)
+        tokens = " ".join(match[2] for match in matches).replace(":", " ").split()
+        try:
+            indices = np.array(tokens[::2], dtype=np.int64) - 1
+            values = np.array(tokens[1::2], dtype=np.float64)
+        except (ValueError, OverflowError):
+            pass  # the per-line parser gives the error
+        else:
+            # rising[p]: indices[p + 1] starts a row or is above indices[p]
+            rising = np.diff(indices) > 0
+            starts = np.cumsum(counts) - counts
+            rising[starts[(starts > 0) & (starts < len(indices))] - 1] = True
+            if (np.isfinite(values).all() and rising.all()
+                    and indices.min(initial=0) >= 0 and indices.max(initial=0) < d_hint):
+                labels = [_LABEL_MAP[match[1]] for match in matches]
+                return np.array(labels, dtype=np.int64), counts, indices, values
+    slow = LibsvmData.from_rows([
+        _parse_line(line, k, d_hint) for k, line in enumerate(chunk, start=lineno) if line.strip()
+    ])
+    return slow.labels, np.diff(slow.indptr), slow.indices, slow.values
 
 
 def _parse_line(line: str, lineno: int, d_hint: int) -> tuple[int, list[int], list[float]]:
@@ -345,7 +333,7 @@ class _ShardedProblem:
         return self.slices[client].start + j
 
 
-@dataclass
+@dataclass(eq=False)
 class CappedHingeSvmProblem(_ShardedProblem):
     """Binary classifier with hinge loss and capped-l1 penalty.
 
@@ -368,8 +356,7 @@ class CappedHingeSvmProblem(_ShardedProblem):
     slices: list[slice] = field(repr=False)
     lipschitz_L: float = 0.0
     grad_bound_G: float = 0.0
-    _buffer: np.ndarray = field(default_factory=lambda: np.empty(0), init=False,
-                                repr=False, compare=False)
+    _buffer: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False)
 
     @classmethod
     def from_shards(
@@ -381,6 +368,8 @@ class CappedHingeSvmProblem(_ShardedProblem):
         alpha: float = 2.0,
     ) -> "CappedHingeSvmProblem":
         """The problem whose client i owns the rows shards[i] of data."""
+        if not shards:
+            raise OracleError("client count must be >= 1, got 0")
         if any(len(s) == 0 for s in shards):
             raise OracleError("every client shard must be nonempty")
         sizes = [len(s) for s in shards]
@@ -531,7 +520,7 @@ class CappedHingeSvmProblem(_ShardedProblem):
         out += base
 
 
-@dataclass
+@dataclass(eq=False)
 class PiecewiseProblem(_ShardedProblem):
     """Synthetic nonsmooth per-sample loss |c'x| + max(u'x + p, v'x + q).
 
@@ -571,10 +560,15 @@ class PiecewiseProblem(_ShardedProblem):
         p = np.atleast_1d(np.asarray(p, dtype=np.float64))
         q = np.atleast_1d(np.asarray(q, dtype=np.float64))
         m, d = C.shape
+        if n < 1:
+            raise OracleError(f"client count must be >= 1, got {n}")
         if m == 0:
             raise OracleError(f"sample count must be >= 1, got {m}")
         if m % n != 0:
             raise OracleError(f"sample count {m} not divisible by n = {n}")
+        for name, a, shape in (("U", U, (m, d)), ("V", V, (m, d)), ("p", p, (m,)), ("q", q, (m,))):
+            if a.shape != shape:
+                raise OracleError(f"{name} has shape {a.shape}, expected {shape}")
         per_sample_L = np.linalg.norm(C, axis=1) + np.maximum(
             np.linalg.norm(U, axis=1), np.linalg.norm(V, axis=1)
         )

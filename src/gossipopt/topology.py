@@ -19,10 +19,15 @@ EIGENVALUE_TOL = 1e-10
 
 
 class TopologyError(ValueError):
-    """A requested topology or candidate weight matrix is invalid."""
+    """A requested topology or candidate weight matrix is invalid; key names
+    the builder argument at fault, if one is."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """Validated network weight matrix with cached spectral quantities.
 
@@ -40,16 +45,6 @@ class MixingMatrix:
 
     def __post_init__(self) -> None:
         self.weights.setflags(write=False)
-
-    # the spectral fields follow from the weights, so the bytes of the
-    # (read-only) weights are the identity of a matrix
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MixingMatrix):
-            return NotImplemented
-        return self.weights.tobytes() == other.weights.tobytes()
-
-    def __hash__(self) -> int:
-        return hash(self.weights.tobytes())
 
 
 def _second_largest_eigenvalue(weights: np.ndarray) -> tuple[float, np.ndarray]:
@@ -117,15 +112,16 @@ def build_ring(n: int, neighbors_per_side: int) -> MixingMatrix:
     [0, 1] for any k.
     """
     if n < 3:
-        raise TopologyError(f"ring topology requires n >= 3, got n = {n}")
+        raise TopologyError(f"ring topology requires n >= 3, got n = {n}", "n")
     if neighbors_per_side < 1:
         raise TopologyError(
-            f"neighbors_per_side must be >= 1, got {neighbors_per_side}"
+            f"neighbors_per_side must be >= 1, got {neighbors_per_side}", "neighbors_per_side"
         )
     if 2 * neighbors_per_side + 1 > n:
         raise TopologyError(
             f"neighbors_per_side = {neighbors_per_side} needs at least "
-            f"{2 * neighbors_per_side + 1} clients, got n = {n}"
+            f"{2 * neighbors_per_side + 1} clients, got n = {n}",
+            "neighbors_per_side",
         )
     w = 0.5 / (2 * neighbors_per_side)
     weights = np.zeros((n, n))
@@ -140,7 +136,7 @@ def build_ring(n: int, neighbors_per_side: int) -> MixingMatrix:
 def build_complete(n: int) -> MixingMatrix:
     """Complete coupling: every entry 1/n, one round reaches the exact mean."""
     if n < 2:
-        raise TopologyError(f"complete topology requires n >= 2, got n = {n}")
+        raise TopologyError(f"complete topology requires n >= 2, got n = {n}", "n")
     return from_weights(np.full((n, n), 1.0 / n))
 
 
@@ -154,5 +150,5 @@ def load_weights_file(path: str) -> MixingMatrix:
     try:
         raw = np.loadtxt(path, dtype=np.float64, ndmin=2)
     except (OSError, ValueError) as exc:
-        raise TopologyError(f"cannot read weight matrix from {path}: {exc}") from exc
+        raise TopologyError(f"cannot read weight matrix: {exc}") from exc
     return from_weights(raw)

@@ -254,6 +254,31 @@ def test_bad_probe_and_data_values_rejected_before_any_run(tmp_path, key, value)
     assert not out.exists()
 
 
+# (the [topology] lines, the message after the key); {path} is a weight file
+# holding a matrix that is not symmetric
+BAD_TOPOLOGIES = [
+    ("kind = ring\nn = 2", "topology.n: ring topology requires n >= 3, got n = 2"),
+    ("kind = ring\nn = 16\nneighbors_per_side = 8",
+     "topology.neighbors_per_side: neighbors_per_side = 8 needs at least 17 clients, got n = 16"),
+    ("kind = file\nn = 2\npath = {path}",
+     "topology.path: {path}: matrix is not symmetric: |p[0][1] - p[1][0]| = 1.000e-01"),
+]
+
+
+@pytest.mark.parametrize("topology,message", BAD_TOPOLOGIES)
+def test_bad_topologies_rejected_before_any_run(tmp_path, capsys, topology, message):
+    weights = tmp_path / "w.txt"
+    weights.write_text("0.5 0.5\n0.4 0.6\n")
+    start, stop = MINIMAL.index("[topology]"), MINIMAL.index("[algorithm]")
+    text = MINIMAL[:start] + f"[topology]\n{topology}\n\n" + MINIMAL[stop:]
+    path, out = write_config(tmp_path, text.replace("{path}", str(weights)))
+    for command in ("run", "plan"):
+        assert main([command, path]) == 1
+        want = message.replace("{path}", str(weights))
+        assert capsys.readouterr().err == f"configuration error: {want}\n"
+    assert not out.exists()
+
+
 def test_ranged_keys_have_a_rejection_case_and_a_readme_entry():
     ranged = {
         (section, f.name)

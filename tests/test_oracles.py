@@ -444,6 +444,28 @@ def test_piecewise_needs_samples():
         PiecewiseProblem.from_arrays(2, empty, empty, empty, [], [])
 
 
+C23 = np.ones((2, 3))
+
+
+@pytest.mark.parametrize("build,error", [
+    pytest.param(lambda: PiecewiseProblem.from_arrays(0, C23, C23, C23, [0, 0], [0, 0]),
+                 "client count must be >= 1, got 0", id="piecewise-n-0"),
+    pytest.param(lambda: PiecewiseProblem.from_arrays(2, C23, C23, C23, [0], [0, 0]),
+                 r"p has shape \(1,\), expected \(2,\)", id="piecewise-short-p"),
+    pytest.param(lambda: PiecewiseProblem.from_arrays(2, C23, C23, C23, [0, 0], [0, 0, 0]),
+                 r"q has shape \(3,\), expected \(2,\)", id="piecewise-long-q"),
+    pytest.param(lambda: PiecewiseProblem.from_arrays(2, C23, np.ones((2, 4)), C23, [0, 0], [0, 0]),
+                 r"U has shape \(2, 4\), expected \(2, 3\)", id="piecewise-wide-U"),
+    pytest.param(lambda: PiecewiseProblem.from_arrays(2, C23, C23, np.ones((3, 3)), [0, 0], [0, 0]),
+                 r"V has shape \(3, 3\), expected \(2, 3\)", id="piecewise-tall-V"),
+    pytest.param(lambda: CappedHingeSvmProblem.from_shards(_dummy_samples(4), [], 3),
+                 "client count must be >= 1, got 0", id="svm-no-shards"),
+])
+def test_problem_constructors_reject_bad_counts_and_shapes(build, error):
+    with pytest.raises(OracleError, match=f"^{error}$"):
+        build()
+
+
 # -- LIBSVM parsing -----------------------------------------------------------
 
 
@@ -610,9 +632,13 @@ def assert_parses_like_the_reference(path, text, d_hint):
 GOOD_LINE = "+1 1:0.5 7:1e-3 012:3 20:-2.5E+02\n"
 
 
-def chunk_boundary(text):
-    """The number of lines the parser reads in its first chunk of text."""
-    return len(io.StringIO(text, newline=None).readlines(oracles._CHUNK_CHARS))
+def chunk_lines(text):
+    """The 1-based line numbers of each chunk the parser reads of text."""
+    lines, out, start = io.StringIO(text, newline=None), [], 1
+    while chunk := lines.readlines(oracles._CHUNK_CHARS):
+        out.append(range(start, start + len(chunk)))
+        start += len(chunk)
+    return out
 
 
 FIXED_TEXTS = [
@@ -649,7 +675,7 @@ def test_fast_path_matches_the_per_line_parser_on_fixed_texts(tmp_path, text):
 ])
 def test_bad_line_at_a_chunk_boundary(tmp_path, bad, error):
     text = GOOD_LINE * 4000
-    first = chunk_boundary(text)
+    first = len(chunk_lines(text)[0])
     assert 1 < first < 4000
     # the last line of the first chunk, and the first line of the second
     for at in (first - 1, first):
@@ -699,7 +725,7 @@ def test_fast_path_matches_the_per_line_parser_on_random_valid_lines(tmp_path):
     rng = np.random.default_rng(20261018)
     for odd_share in (0.0, 0.01):
         text = random_text(rng, 3000, 40, odd_share)
-        assert chunk_boundary(text) < 3000  # the text spans several chunks
+        assert len(chunk_lines(text)) > 1  # the text spans several chunks
         want = assert_parses_like_the_reference(tmp_path / "random.libsvm", text, 40)
         assert len(want) == 4  # parsed, not rejected
 
@@ -738,6 +764,27 @@ def test_generated_dataset_takes_the_fast_path_only(tmp_path, monkeypatch):
 
     monkeypatch.setattr(oracles, "_parse_line", per_line)
     assert same_data(load_libsvm(str(path), 123), want)
+
+
+def test_a_chunk_with_an_odd_line_falls_back_alone(monkeypatch):
+    lines = [GOOD_LINE] * 4000
+    second = chunk_lines("".join(lines))[1]
+    at = (second.start + second.stop) // 2 - 1  # the 0-based index of a middle line
+    lines[at] = "-1 1:1_0 2:1\n"  # valid, but only float() takes 1_0
+    lines[at + 1] = "\n"
+    text = "".join(lines)
+    chunks = chunk_lines(text)
+    assert len(chunks) > 2 and at + 1 in chunks[1] and at + 2 in chunks[1]
+    want = reference_parse(text, 20)
+    seen = []
+
+    def per_line(line, lineno, d_hint):
+        seen.append(lineno)
+        return _parse_line(line, lineno, d_hint)
+
+    monkeypatch.setattr(oracles, "_parse_line", per_line)
+    assert same_data(parse_libsvm_lines(text, 20), want)
+    assert seen == [k for k in chunks[1] if k != at + 2]  # every non-blank line
 
 
 # -- sharding -----------------------------------------------------------------
