@@ -12,8 +12,11 @@ __version__ = "0.1.0"
 # at every point as one vector, apart from the rows it multiplies; 5: the
 # probe takes its rows block by block, and in each block sums the rows the
 # screen or the margins find active at every point as one vector, apart
-# from the rest.
-TRACE_FORMAT = 5
+# from the rest; 6: each step draws the randomness of its q oracle queries
+# as one block, the q sample indices in one call, then a (q, d) block of
+# normals and, for the ball, q radii (the full-participation baseline drew
+# its n directions one after another before).
+TRACE_FORMAT = 6
 
 
 def active_backend() -> str:

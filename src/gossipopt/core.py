@@ -13,8 +13,9 @@ Two drivers share one epoch loop and differ only in their step:
 
 Randomness is organized in decoupled per-purpose streams derived from the
 plan seed (see rng module), one generator per (purpose, epoch) consumed in
-step order; the full trajectory is a deterministic function of (seed, plan,
-problem, matrix).
+step order. Each step draws the randomness of its oracle queries as one
+block, and the estimators are deterministic in what was drawn. The full
+trajectory is a deterministic function of (seed, plan, problem, matrix).
 
 Each estimator call counts as one sample: a zeroth-order call is one
 two-point query, and its two raw function evaluations are counted apart in
@@ -40,7 +41,7 @@ from .metrics import (
     goldstein_probe,
 )
 from .oracles import first_order_estimator, zeroth_order_estimator
-from .rng import stream
+from .rng import ball, sphere, stream
 from .topology import MixingMatrix
 
 ORACLE_TYPES = ("first", "zeroth")
@@ -246,7 +247,7 @@ class RunCounters:
     function_evals: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepSnapshot:
     """Per-step state handed to an observer callback; arrays are live views
     into driver state and must be copied if retained."""
@@ -261,7 +262,7 @@ class StepSnapshot:
     delta_half: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpochOutputs:
     """The selected output epochs and the averaged query points there.
 
@@ -293,16 +294,20 @@ def run_docs(
     breach.
     """
     _check_compatible(plan, problem, matrix)
-    n = plan.n
-    estimator, evals = _estimator(plan)
+    n, d = plan.n, plan.d
+    estimator, evals, directions = _estimator(plan)
+    sizes = _shard_sizes(problem)
     gossip_cfg = GossipConfig(matrix, plan.R)
 
     def step(k, t, y, delta_half, w, rng_client, rng_xi, rng_z, counters):
         i = int(rng_client.integers(n))
+        # the q = 1 block: a scalar high draws what integers(sizes[[i]]) does
+        j = int(rng_xi.integers(sizes[i]))
+        z = directions(rng_z, 1, d)[0]
         x = y.copy()
         x[i] += n * delta_half[i]
         y = fast_gossip(gossip_cfg, x)
-        g = estimator(problem, i, w[i], plan.delta_prime, rng_xi, rng_z)
+        g = estimator(problem, i, j, w[i], plan.delta_prime, z)
         counters.samples_total += 1
         counters.function_evals += evals
         delta = np.zeros(x.shape)
@@ -343,18 +348,21 @@ def run_baseline_full_participation(
     """Full-participation driver: n oracle calls per step, one plain gossip
     round per mixing point (plan.R is not used)."""
     _check_compatible(plan, problem, matrix)
-    n = plan.n
-    estimator, evals = _estimator(plan)
+    n, d = plan.n, plan.d
+    estimator, evals, directions = _estimator(plan)
+    sizes = _shard_sizes(problem)
+    mu, eta, D = plan.delta_prime, plan.eta, plan.D
 
     def step(k, t, y, delta_half, w, rng_client, rng_xi, rng_z, counters):
+        js = rng_xi.integers(sizes).tolist()
+        Z = directions(rng_z, n, d)
         x = y + delta_half
         y = plain_gossip(matrix, x, 1)
         delta = np.empty_like(x)
-        for i in range(n):
-            g = estimator(problem, i, w[i], plan.delta_prime, rng_xi, rng_z)
-            counters.samples_total += 1
-            counters.function_evals += evals
-            delta[i] = inner_update(delta_half[i], g, plan.eta, plan.D, 1)
+        for i, (j, w_i, z_i, half_i) in enumerate(zip(js, w, Z, delta_half)):
+            delta[i] = inner_update(half_i, estimator(problem, i, j, w_i, mu, z_i), eta, D, 1)
+        counters.samples_total += n
+        counters.function_evals += n * evals
         return None, x, y, delta, plain_gossip(matrix, delta, 1)
 
     return _epoch_loop(plan, problem, step, 2, None, sink, metrics_every,
@@ -372,10 +380,16 @@ def _check_compatible(plan: RunPlan, problem, matrix: MixingMatrix) -> None:
 
 
 def _estimator(plan: RunPlan):
-    """The plan's estimator and the raw function evaluations one call makes."""
+    """The plan's estimator, the raw function evaluations one call makes and
+    the sampler of its (q, d) direction block."""
     if plan.oracle_type == "first":
-        return first_order_estimator, 0
-    return zeroth_order_estimator, 2
+        return first_order_estimator, 0, ball
+    return zeroth_order_estimator, 2, sphere
+
+
+def _shard_sizes(problem) -> np.ndarray:
+    """Each client's shard size, the high of its sample index draw."""
+    return np.array([problem.shard_size(i) for i in range(problem.n)])
 
 
 def _require(what: str, observed: float, bound: float, k: int, t: int,
@@ -404,10 +418,11 @@ def _epoch_loop(
     divergence check, the sum of w over the selected epoch, the observer and
     the trace records with their probes. ``step(k, t, y, delta_half, w,
     rng_client, rng_xi, rng_z, counters)`` draws its active client, if it
-    has one, from rng_client, queries the oracles with rng_xi and rng_z in
-    client order, counts each call in counters and mixes both stacks; it
-    returns (active client or None, x, mixed y, pre-mix update stack, mixed
-    update stack). ``check(k, t, x, y, delta_half)``, when given, runs after
+    has one, from rng_client, draws its queries' sample indices from rng_xi
+    and their directions from rng_z as one block in client order, calls the
+    estimator once per query, counts each call in counters and mixes both
+    stacks; it returns (active client or None, x, mixed y, pre-mix update
+    stack, mixed update stack). ``check(k, t, x, y, delta_half)``, when given, runs after
     the divergence check.
     """
     n, d, seed = plan.n, plan.d, plan.seed
@@ -425,15 +440,18 @@ def _epoch_loop(
     record_index = 0
 
     for k in range(1, plan.K + 1):
-        picked = (selected == k - 1)[:, None]
+        picked = selected == k - 1
         summing = bool(picked.any())
+        # a mask that is True everywhere costs more than no mask
+        picked = True if picked.all() else picked[:, None]
         delta_half = np.zeros((n, d))
         rng_s, rng_client, rng_xi, rng_z = (
             stream(seed, purpose, k) for purpose in ("s", "client", "xi", "z")
         )
         for t in range(1, plan.T + 1):
             s = rng_s.random(n)
-            w = y + s[:, None] * delta_half
+            w = s[:, None] * delta_half
+            w += y
             active, x, y, delta_pre_mix, delta_half = step(
                 k, t, y, delta_half, w, rng_client, rng_xi, rng_z, counters
             )

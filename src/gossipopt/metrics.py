@@ -18,6 +18,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .rng import ball
+
 _COUNTER_FIELDS = ("samples_total", "computation_rounds", "communication_rounds")
 
 
@@ -167,19 +169,12 @@ class GoldsteinProbeConfig:
             )
 
 
-def _ball_points(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
-    g = rng.standard_normal((count, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    r = rng.random(count) ** (1.0 / d)
-    return r[:, None] * g
-
-
 def goldstein_norm_estimate(
     problem, x: np.ndarray, cfg: GoldsteinProbeConfig, rng: np.random.Generator
 ) -> float:
     """Norm of the averaged full-data subgradient over M uniform draws from
     the ball of radius cfg.radius / 2 around x."""
-    u = _ball_points(rng, cfg.num_smoothing_samples, problem.d)
+    u = ball(rng, cfg.num_smoothing_samples, problem.d)
     points = x[None, :] + (cfg.radius / 2.0) * u
     grads = problem.full_subgradients(points)
     return float(np.linalg.norm(grads.mean(axis=0)))

@@ -16,10 +16,11 @@ that fails a check goes whole to the per-line parser, which gives the error.
 subsample and shard pick row numbers, and the SVM scatters its rows into
 one dense matrix.
 
-Estimators draw one local sample plus one perturbation direction per call:
-the first-order estimator returns a subgradient at a ball-perturbed point,
-the zeroth-order estimator a two-point finite difference along a sphere
-direction.
+Estimators are deterministic in the local sample j and the direction z
+the driver drew for them (see the rng module): the first-order estimator
+returns a subgradient at the ball-perturbed point w + mu z, the
+zeroth-order estimator a two-point finite difference along the sphere
+direction z.
 
 Subgradient tie-breaking is deterministic everywhere: sign(0) = 0 for the
 capped penalty and the |c'x| term, hinge at margin exactly 1 takes the
@@ -35,7 +36,7 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .rng import ball, sphere, stream
+from .rng import stream
 
 
 class OracleError(ValueError):
@@ -417,9 +418,14 @@ class CappedHingeSvmProblem(_ShardedProblem):
 
     def sample_subgradient(self, client: int, j: int, x: np.ndarray) -> np.ndarray:
         ba = self.signed[self._row(client, j)]
-        g = self.lam * np.sign(x) * (np.abs(x) < self.alpha)
-        if float(ba @ x) <= 1.0:
-            g = g - ba
+        # lam * sign(x) * (|x| < alpha): each product is exact, so the
+        # in-place order gives the same bits, signed zeros included; the
+        # method dot is the BLAS dot ba @ x calls, minus matmul's dispatch
+        g = np.sign(x)
+        g *= np.abs(x) < self.alpha
+        g *= self.lam
+        if ba.dot(x) <= 1.0:
+            g -= ba
         return g
 
     # The benchmark wraps full_value where it stands, on this class, so it
@@ -559,6 +565,9 @@ class PiecewiseProblem(_ShardedProblem):
         C, U, V = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (C, U, V))
         p = np.atleast_1d(np.asarray(p, dtype=np.float64))
         q = np.atleast_1d(np.asarray(q, dtype=np.float64))
+        for name, a in (("C", C), ("U", U), ("V", V)):
+            if a.ndim != 2:
+                raise OracleError(f"{name} has shape {a.shape}, expected 2-D")
         m, d = C.shape
         if n < 1:
             raise OracleError(f"client count must be >= 1, got {n}")
@@ -636,25 +645,22 @@ class PiecewiseProblem(_ShardedProblem):
 # -- estimators ---------------------------------------------------------------
 
 
-def first_order_estimator(problem, client: int, w: np.ndarray, mu: float,
-                          rng_xi: np.random.Generator, rng_z: np.random.Generator) -> np.ndarray:
-    """Subgradient of one random local sample at w + mu * z, z uniform in
-    the unit ball."""
+def first_order_estimator(problem, client: int, j: int, w: np.ndarray, mu: float,
+                          z: np.ndarray) -> np.ndarray:
+    """Subgradient of local sample j at w + mu * z; the driver draws j
+    uniform over the client's shard and z uniform in the unit ball."""
     if mu < 0:
         raise OracleError(f"perturbation radius must be >= 0, got {mu}")
-    j = int(rng_xi.integers(problem.shard_size(client)))
-    z = ball(rng_z, problem.d)
     return problem.sample_subgradient(client, j, w + mu * z)
 
 
-def zeroth_order_estimator(problem, client: int, w: np.ndarray, mu: float,
-                           rng_xi: np.random.Generator, rng_z: np.random.Generator) -> np.ndarray:
-    """Two-point estimate (d / 2 mu) (F(w + mu z) - F(w - mu z)) z with z
+def zeroth_order_estimator(problem, client: int, j: int, w: np.ndarray, mu: float,
+                           z: np.ndarray) -> np.ndarray:
+    """Two-point estimate (d / 2 mu) (F(w + mu z) - F(w - mu z)) z of local
+    sample j; the driver draws j uniform over the client's shard and z
     uniform on the unit sphere."""
     if mu <= 0:
         raise OracleError(f"smoothing radius must be > 0, got {mu}")
-    j = int(rng_xi.integers(problem.shard_size(client)))
-    z = sphere(rng_z, problem.d)
     f_plus = problem.sample_value(client, j, w + mu * z)
     f_minus = problem.sample_value(client, j, w - mu * z)
     return (problem.d / (2.0 * mu)) * (f_plus - f_minus) * z

@@ -5,13 +5,16 @@ its own generator derived from (purpose, *key), so the draws of one purpose
 (client sampling, segment draws s, data indices, perturbation directions,
 ...) never shift when another purpose consumes more or fewer values. The
 drivers key the four step purposes by epoch alone and consume each epoch's
-generator in step order. This is what makes the n=1 reference-loop
-comparison and A/B runs that share data noise possible.
+generator in step order. Within a step, the q clients that query their
+oracles (all n for the full-participation baseline, the active one for the
+client-sampled driver) draw as one block, in client order: one "xi"
+``integers`` call with their shard sizes gives the q sample indices, and
+"z" gives one (q, d) block of directions (``ball`` or ``sphere``). This is
+what makes the n=1 reference-loop comparison and A/B runs that share data
+noise possible.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -39,14 +42,18 @@ def stream(root_seed: int, purpose: str, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def ball(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Uniform draw from the unit Euclidean ball in R^d: a sphere draw, then its radius U^(1/d)."""
-    g = sphere(rng, d)
-    return rng.random() ** (1.0 / d) * g
+def ball(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """(count, d) block of uniform draws from the unit Euclidean ball in R^d:
+    the sphere block, then count radii U^(1/d), one per row."""
+    g = sphere(rng, count, d)
+    g *= rng.random((count, 1)) ** (1.0 / d)
+    return g
 
 
-def sphere(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Uniform draw from the unit sphere S^(d-1): normalized Gaussian."""
-    g = rng.standard_normal(d)
-    g /= math.sqrt(g.dot(g))  # what np.linalg.norm(g) computes, bit for bit
+def sphere(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """(count, d) block of uniform draws from the unit sphere S^(d-1):
+    count * d normals, each row divided by its norm."""
+    g = rng.standard_normal((count, d))
+    # what np.linalg.norm(g, axis=1, keepdims=True) computes, bit for bit
+    g /= np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True))
     return g

@@ -2,17 +2,18 @@
 n = 1 degenerate network.
 
 Deliberately avoids the package drivers and gossip machinery: no stacked
-arrays, no mixing, one client. Shares only the estimator functions and the
-per-purpose random streams (one generator per purpose and epoch, consumed
-in step order), which is exactly what the equivalence check is about: with
-mixing degenerate, the decentralized drivers must reproduce this loop bit
-for bit.
+arrays, no mixing, one client. Shares only the estimator functions, the
+direction samplers and the per-purpose random streams (one generator per
+purpose and epoch, consumed in step order; each step draws its one query's
+sample index, then its (1, d) direction block), which is exactly what the
+equivalence check is about: with mixing degenerate, the decentralized
+drivers must reproduce this loop bit for bit.
 """
 
 import numpy as np
 
 from gossipopt.oracles import first_order_estimator, zeroth_order_estimator
-from gossipopt.rng import stream
+from gossipopt.rng import ball, sphere, stream
 
 
 def run_reference(plan, problem, observer=None):
@@ -20,7 +21,10 @@ def run_reference(plan, problem, observer=None):
     delta_half) with copies each step."""
     if plan.n != 1:  # a raise, not an assert, so the guard holds under python -O
         raise ValueError(f"the reference loop is single-client, got n = {plan.n}")
-    estimator = first_order_estimator if plan.oracle_type == "first" else zeroth_order_estimator
+    if plan.oracle_type == "first":
+        estimator, directions = first_order_estimator, ball
+    else:
+        estimator, directions = zeroth_order_estimator, sphere
     d, seed = plan.d, plan.seed
     y = np.zeros(d)
     epoch_sums = np.zeros((plan.K, d))
@@ -34,7 +38,9 @@ def run_reference(plan, problem, observer=None):
             x = y + delta_half
             w = y + s * delta_half
             y = x  # mixing over a one-client network is the identity
-            g = estimator(problem, 0, w, plan.delta_prime, rng_xi, rng_z)
+            j = int(rng_xi.integers(problem.shard_size(0)))
+            z = directions(rng_z, 1, d)[0]
+            g = estimator(problem, 0, j, w, plan.delta_prime, z)
             v = delta_half - plan.eta * g
             norm = float(np.linalg.norm(v))
             delta_half = v if norm <= plan.D else (plan.D / norm) * v

@@ -31,7 +31,7 @@ from gossipopt.oracles import (
     shard,
     zeroth_order_estimator,
 )
-from gossipopt.rng import stream
+from gossipopt.rng import sphere, stream
 from gossipopt.topology import build_ring, single_client
 from gossip_bounds import consensus_sq_error, contraction_bound
 from mc_smoothing import mc_smoothed_gradient
@@ -84,7 +84,9 @@ def test_criterion_2_zeroth_order_estimator():
         acc_sq = np.zeros(20)
         second_moment = 0.0
         for _ in range(draws):
-            g = zeroth_order_estimator(problem, 0, w, mu, rng_xi, rng_z)
+            # one query per step, drawn as the client-sampled driver draws it
+            j = int(rng_xi.integers(problem.shard_size(0)))
+            g = zeroth_order_estimator(problem, 0, j, w, mu, sphere(rng_z, 1, 20)[0])
             acc += g
             acc_sq += g * g
             second_moment += float(g @ g)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from gossipopt.oracles import PiecewiseProblem
 from gossipopt.rng import stream
 from gossipopt.topology import build_ring, single_client
 from single_machine_reference import run_reference
+from test_oracles import make_svm
 
 
 def pgd_ball_argmin(g, delta, eta, diameter, iters=2000, tol=1e-14):
@@ -238,6 +240,74 @@ def test_single_machine_equivalence_short():
             assert np.array_equal(y1[0], y2)
             assert np.array_equal(d1[0], d2)
         assert np.array_equal(outputs[name].w_out[0], ref_w_out)
+
+
+def _baseline_by_layout(plan, problem, matrix):
+    """The full-participation baseline written out by the documented layout:
+    each step draws the n sample indices in one xi call with the shard
+    sizes, then one (n, d) block of normals from z, normalised row by row,
+    and for the ball n radii; then it calls the scalar sample_subgradient
+    (sample_value for the zeroth-order pair) once per client. Returns the
+    per-step (w, y, delta_half) and the count of clipped updates."""
+    n, d, mu = plan.n, plan.d, plan.delta_prime
+    sizes = [problem.shard_size(i) for i in range(n)]
+    y = np.zeros((n, d))
+    rows, clipped = [], 0
+    for k in range(1, plan.K + 1):
+        delta_half = np.zeros((n, d))
+        rng_s, rng_xi, rng_z = (stream(plan.seed, p, k) for p in ("s", "xi", "z"))
+        for _ in range(plan.T):
+            w = y + rng_s.random(n)[:, None] * delta_half
+            js = rng_xi.integers(sizes)
+            z = rng_z.standard_normal((n, d))
+            z = z / np.linalg.norm(z, axis=1, keepdims=True)
+            if plan.oracle_type == "first":
+                z = rng_z.random(n)[:, None] ** (1.0 / d) * z
+            delta = np.empty((n, d))
+            for i, j in enumerate(js.tolist()):
+                if plan.oracle_type == "first":
+                    g = problem.sample_subgradient(i, j, w[i] + mu * z[i])
+                else:
+                    gap = (problem.sample_value(i, j, w[i] + mu * z[i])
+                           - problem.sample_value(i, j, w[i] - mu * z[i]))
+                    g = (d / (2.0 * mu)) * gap * z[i]
+                v = delta_half[i] - plan.eta * g
+                norm = np.linalg.norm(v)
+                clipped += norm > plan.D
+                delta[i] = v if norm <= plan.D else (plan.D / norm) * v
+            y = matrix.weights @ (y + delta_half)
+            delta_half = matrix.weights @ delta
+            rows.append((w, y, delta_half))
+    return rows, clipped
+
+
+@pytest.mark.parametrize("oracle_type", ORACLE_TYPES)
+def test_baseline_draws_by_the_documented_layout(oracle_type):
+    problem = make_svm(np.random.default_rng(8), n=4)
+    matrix = build_ring(4, 1)
+    plan = small_plan(K=2, T=20, D=3e-3, oracle_type=oracle_type)
+    seen = []
+    run_baseline_full_participation(
+        plan, problem, matrix,
+        step_observer=lambda s: seen.append((s.w.copy(), s.y.copy(), s.delta_half.copy())),
+    )
+    ref, clipped = _baseline_by_layout(plan, problem, matrix)
+    # both branches of the clipped update are taken
+    assert 0 < clipped < plan.n * plan.steps_total
+    assert len(seen) == len(ref) == plan.steps_total
+    for got, want in zip(seen, ref):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_run_outputs_and_snapshots_compare_by_identity():
+    snaps = []
+    out = run_docs(small_plan(K=1, T=2), _toy_problem(), build_ring(4, 1),
+                   step_observer=snaps.append)
+    for obj in (out, snaps[0]):
+        twin = dataclasses.replace(obj)
+        assert obj == obj and obj != twin
+        assert hash(obj) == hash(obj) and len({obj, twin}) == 2
 
 
 def test_epoch_accumulator_identity_bitwise():

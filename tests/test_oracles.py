@@ -21,7 +21,7 @@ from gossipopt.oracles import (
     write_synthetic_libsvm,
     zeroth_order_estimator,
 )
-from gossipopt.rng import stream
+from gossipopt.rng import ball, sphere, stream
 from mc_smoothing import mc_smoothed_gradient
 from quadrature_smoothing import smoothed_gradient
 from text_forms import parse_libsvm_lines, same_data
@@ -458,6 +458,10 @@ C23 = np.ones((2, 3))
                  r"U has shape \(2, 4\), expected \(2, 3\)", id="piecewise-wide-U"),
     pytest.param(lambda: PiecewiseProblem.from_arrays(2, C23, C23, np.ones((3, 3)), [0, 0], [0, 0]),
                  r"V has shape \(3, 3\), expected \(2, 3\)", id="piecewise-tall-V"),
+    pytest.param(lambda: PiecewiseProblem.from_arrays(2, np.ones((2, 3, 4)), C23, C23, [0, 0], [0, 0]),
+                 r"C has shape \(2, 3, 4\), expected 2-D", id="piecewise-3d-C"),
+    pytest.param(lambda: PiecewiseProblem.from_arrays(2, C23, np.ones((2, 3, 1)), C23, [0, 0], [0, 0]),
+                 r"U has shape \(2, 3, 1\), expected 2-D", id="piecewise-3d-U"),
     pytest.param(lambda: CappedHingeSvmProblem.from_shards(_dummy_samples(4), [], 3),
                  "client count must be >= 1, got 0", id="svm-no-shards"),
 ])
@@ -828,24 +832,28 @@ def test_subsample_deterministic():
 # -- estimators ---------------------------------------------------------------
 
 
+def queries(problem, client, directions, rng_xi, rng_z, count):
+    """count (j, z) draws as the client-sampled driver makes them, one query
+    per step: a sample index over the client's shard, then a (1, d)
+    direction block."""
+    for _ in range(count):
+        j = int(rng_xi.integers(problem.shard_size(client)))
+        yield j, directions(rng_z, 1, problem.d)[0]
+
+
 def test_first_order_mu_zero_equals_subgradient_of_drawn_sample(rng):
     p = make_svm(rng, d=5)
     w = rng.standard_normal(5)
-    rng_xi = stream(77, "xi", 1, 1)
-    rng_z = stream(77, "z", 1, 1)
-    g = first_order_estimator(p, 0, w, 0.0, rng_xi, rng_z)
-    j = int(stream(77, "xi", 1, 1).integers(p.shard_size(0)))
-    assert np.array_equal(g, p.sample_subgradient(0, j, w))
+    for j, z in queries(p, 0, ball, stream(77, "xi", 1, 1), stream(77, "z", 1, 1), 20):
+        assert np.array_equal(first_order_estimator(p, 0, j, w, 0.0, z), p.sample_subgradient(0, j, w))
 
 
 def test_first_order_linear_function_returns_constant_gradient(rng):
     c = np.array([1.5, -2.0, 0.25])
     p = linear_problem(c)
-    rng_xi = stream(3, "xi", 1, 1)
-    rng_z = stream(3, "z", 1, 1)
-    for _ in range(50):
+    for j, z in queries(p, 0, ball, stream(3, "xi", 1, 1), stream(3, "z", 1, 1), 50):
         w = rng.standard_normal(3)
-        g = first_order_estimator(p, 0, w, 0.3, rng_xi, rng_z)
+        g = first_order_estimator(p, 0, j, w, 0.3, z)
         assert np.array_equal(g, c)
 
 
@@ -853,12 +861,10 @@ def test_zeroth_order_linear_identity_and_unbiasedness(rng):
     c = np.array([0.8, -0.4, 1.1, 0.0])
     p = linear_problem(c)
     w = np.zeros(4)
-    rng_xi = stream(4, "xi", 1, 1)
-    rng_z = stream(4, "z", 1, 1)
     draws = 100_000
     acc = np.zeros(4)
-    for _ in range(draws):
-        acc += zeroth_order_estimator(p, 0, w, 0.2, rng_xi, rng_z)
+    for j, z in queries(p, 0, sphere, stream(4, "xi", 1, 1), stream(4, "z", 1, 1), draws):
+        acc += zeroth_order_estimator(p, 0, j, w, 0.2, z)
     mean = acc / draws
     # E[g] = d E[z z'] c = c since E[z z'] = I / d on the sphere
     se = np.sqrt(4 * float(c @ c) / draws)  # ||g|| <= sqrt(d)||c|| gives a crude scale
@@ -868,7 +874,13 @@ def test_zeroth_order_linear_identity_and_unbiasedness(rng):
 def test_zeroth_order_rejects_nonpositive_mu(rng):
     p = linear_problem(np.ones(3))
     with pytest.raises(OracleError):
-        zeroth_order_estimator(p, 0, np.zeros(3), 0.0, stream(0, "xi", 1, 1), stream(0, "z", 1, 1))
+        zeroth_order_estimator(p, 0, 0, np.zeros(3), 0.0, sphere(stream(0, "z", 1, 1), 1, 3)[0])
+
+
+def test_first_order_rejects_negative_mu(rng):
+    p = linear_problem(np.ones(3))
+    with pytest.raises(OracleError):
+        first_order_estimator(p, 0, 0, np.zeros(3), -0.1, ball(stream(0, "z", 1, 1), 1, 3)[0])
 
 
 def test_first_order_unbiased_for_smoothed_client_objective():
@@ -876,12 +888,10 @@ def test_first_order_unbiased_for_smoothed_client_objective():
     w = stream(99, "datagen", 5).standard_normal(8) * 0.3
     mu = 0.15
     draws = 100_000
-    rng_xi = stream(21, "xi", 1, 1)
-    rng_z = stream(21, "z", 1, 1)
     acc = np.zeros(8)
     sq = np.zeros(8)
-    for _ in range(draws):
-        g = first_order_estimator(p, 0, w, mu, rng_xi, rng_z)
+    for j, z in queries(p, 0, ball, stream(21, "xi", 1, 1), stream(21, "z", 1, 1), draws):
+        g = first_order_estimator(p, 0, j, w, mu, z)
         acc += g
         sq += g * g
     mean = acc / draws
@@ -901,12 +911,10 @@ def test_zeroth_order_segment_trick_unbiasedness():
     w = x + s * step
     mu = 0.1
     draws = 200_000
-    rng_xi = stream(23, "xi", 1, 1)
-    rng_z = stream(23, "z", 1, 1)
     acc = np.zeros(6)
     sq = np.zeros(6)
-    for _ in range(draws):
-        g = zeroth_order_estimator(p, 0, w, mu, rng_xi, rng_z)
+    for j, z in queries(p, 0, sphere, stream(23, "xi", 1, 1), stream(23, "z", 1, 1), draws):
+        g = zeroth_order_estimator(p, 0, j, w, mu, z)
         acc += g
         sq += g * g
     mean = acc / draws
@@ -930,10 +938,8 @@ def test_estimator_norm_bounds_per_draw(rng):
     svm = make_svm(rng, d=6, lam=1e-3)
     w = rng.standard_normal(6)
     for t in range(200):
-        rng_xi = stream(31, "xi", 1, t)
-        rng_z = stream(31, "z", 1, t)
-        j = int(stream(31, "xi", 1, t).integers(svm.shard_size(0)))
-        g = first_order_estimator(svm, 0, w, 0.1, rng_xi, rng_z)
+        [(j, z)] = queries(svm, 0, ball, stream(31, "xi", 1, t), stream(31, "z", 1, t), 1)
+        g = first_order_estimator(svm, 0, j, w, 0.1, z)
         # client 0 owns the first rows, so its sample j is row j
         bound = np.linalg.norm(svm.labels[j] * svm.signed[j]) + svm.lam * np.sqrt(svm.d)
         assert np.all(np.isfinite(g))
@@ -941,10 +947,8 @@ def test_estimator_norm_bounds_per_draw(rng):
 
     piece = PiecewiseProblem.generate(n=1, d=6, samples_per_client=5, seed=2)
     for t in range(200):
-        rng_xi = stream(32, "xi", 1, t)
-        rng_z = stream(32, "z", 1, t)
-        j = int(stream(32, "xi", 1, t).integers(piece.shard_size(0)))
-        g = zeroth_order_estimator(piece, 0, w, 0.05, rng_xi, rng_z)
+        [(j, z)] = queries(piece, 0, sphere, stream(32, "xi", 1, t), stream(32, "z", 1, t), 1)
+        g = zeroth_order_estimator(piece, 0, j, w, 0.05, z)
         lipschitz = np.linalg.norm(piece.C[j]) + max(
             np.linalg.norm(piece.U[j]), np.linalg.norm(piece.V[j])
         )
@@ -956,11 +960,9 @@ def test_zeroth_order_second_moment_bound():
     p = PiecewiseProblem.generate(n=1, d=10, samples_per_client=5, seed=3)
     w = stream(2, "datagen", 8).standard_normal(10) * 0.5
     draws = 50_000
-    rng_xi = stream(33, "xi", 1, 1)
-    rng_z = stream(33, "z", 1, 1)
     total = 0.0
-    for _ in range(draws):
-        g = zeroth_order_estimator(p, 0, w, 0.05, rng_xi, rng_z)
+    for j, z in queries(p, 0, sphere, stream(33, "xi", 1, 1), stream(33, "z", 1, 1), draws):
+        g = zeroth_order_estimator(p, 0, j, w, 0.05, z)
         total += float(g @ g)
     bound = 16.0 * math.sqrt(2.0 * math.pi) * p.d * p.lipschitz_L**2
     assert total / draws <= 1.05 * bound
@@ -969,9 +971,10 @@ def test_zeroth_order_second_moment_bound():
 def test_estimator_streams_reproducible():
     p = PiecewiseProblem.generate(n=2, d=5, samples_per_client=3, seed=1)
     w = np.ones(5) * 0.1
-    a = first_order_estimator(p, 1, w, 0.2, stream(8, "xi", 2, 3), stream(8, "z", 2, 3))
-    b = first_order_estimator(p, 1, w, 0.2, stream(8, "xi", 2, 3), stream(8, "z", 2, 3))
-    assert np.array_equal(a, b)
-    c = zeroth_order_estimator(p, 1, w, 0.2, stream(8, "xi", 2, 3), stream(8, "z", 2, 3))
-    d = zeroth_order_estimator(p, 1, w, 0.2, stream(8, "xi", 2, 3), stream(8, "z", 2, 3))
-    assert np.array_equal(c, d)
+    for estimator, directions in ((first_order_estimator, ball), (zeroth_order_estimator, sphere)):
+        a, b = (
+            [estimator(p, 1, j, w, 0.2, z)
+             for j, z in queries(p, 1, directions, stream(8, "xi", 2, 3), stream(8, "z", 2, 3), 5)]
+            for _ in range(2)
+        )
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))

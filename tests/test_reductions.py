@@ -9,7 +9,7 @@ from gossipopt import core
 from gossipopt.core import inner_update, plan_parameters, run_docs
 from gossipopt.metrics import _max_row_distance, consensus_errors
 from gossipopt.oracles import PiecewiseProblem
-from gossipopt.rng import sphere
+from gossipopt.rng import ball, sphere
 from gossipopt.topology import build_ring
 
 # the huge stacks overflow on purpose, in the reference as in the reductions
@@ -77,8 +77,26 @@ def test_inner_update_matches_linalg_bitwise(n, d):
 @pytest.mark.parametrize("d", (1, 123))
 def test_sphere_matches_linalg_bitwise(d):
     for seed in range(50):
-        g = np.random.default_rng(seed).standard_normal(d)
-        assert same(sphere(np.random.default_rng(seed), d), g / np.linalg.norm(g))
+        for count in (1, 16):
+            g = np.random.default_rng(seed).standard_normal((count, d))
+            want = g / np.linalg.norm(g, axis=1, keepdims=True)
+            assert same(sphere(np.random.default_rng(seed), count, d), want)
+
+
+def ref_ball_points(rng, count, d):
+    """The stationarity probe's former ball sampler, verbatim."""
+    g = rng.standard_normal((count, d))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    r = rng.random(count) ** (1.0 / d)
+    return r[:, None] * g
+
+
+@pytest.mark.parametrize("d", (1, 2, 123))
+def test_ball_matches_former_probe_sampler_bitwise(d):
+    for seed in range(20):
+        for count in (1, 16, 1024):
+            got = ball(np.random.default_rng(seed), count, d)
+            assert same(got, ref_ball_points(np.random.default_rng(seed), count, d))
 
 
 def test_step_checks_observe_the_linalg_values(monkeypatch):
