@@ -10,9 +10,9 @@ Two problem families share one interface:
   gradients.
 
 A LIBSVM set is one LibsvmData: labels plus the CSR arrays indptr, indices
-and values. The parser matches lines with one regular expression and
-converts a chunk of about 64 KB at a time with numpy; a chunk with a line
-that fails a check goes whole to the per-line parser, which gives the error.
+and values. The parser reads about 64 KB of lines at a time and tokenizes
+each chunk's bytes with numpy; a chunk the tokenizer does not take goes
+whole to the per-line parser, which parses it or gives the error.
 subsample and shard pick row numbers, and the SVM scatters its rows into
 one dense matrix.
 
@@ -30,7 +30,6 @@ active branch, tied max pieces take the first piece.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from itertools import chain, pairwise
 
@@ -97,14 +96,23 @@ def _indptr(counts) -> np.ndarray:
 
 _LABEL_MAP = {"+1": 1, "1": 1, "-1": -1, "0": -1}
 
-# A line the fast path takes whole: a label word, then digits:value features
-# separated by spaces or tabs. The value characters cover every decimal
-# float; the rest of what float() takes (inf, nan, 1_0) and other
-# whitespace are left to the per-line parser.
-_FAST_LINE = re.compile(
-    r"[ \t]*(\+1|-1|1|0)((?:[ \t]+[0-9]+:[0-9.eE+-]+)*)[ \t]*\n?", re.ASCII
-)
 _CHUNK_CHARS = 1 << 16
+
+# The byte classes of the tokenizer: blank separates tokens (other ASCII
+# whitespace, like any byte of no class, sends the chunk to the per-line
+# parser), a feature token is digits, one colon, then digit and value bytes.
+_BLANK, _COLON, _DIGIT, _VALUE, _OTHER = range(5)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\n")] = _BLANK
+_BYTE_CLASS[ord(":")] = _COLON
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b".eE+-")] = _VALUE
+# an int64 holds every number of up to 18 digits
+_MAX_DIGITS = 18
+# the longest value the tokenizer converts from bytes: it pads each such
+# value to the longest of its chunk, so one long token would make every
+# short one take its width; a longer value goes to the per-line parser
+_VALUE_WIDTH = 32
 
 
 def load_libsvm(path: str, d_hint: int) -> LibsvmData:
@@ -138,35 +146,118 @@ def _parse_chunk(chunk: list[str], lineno: int, d_hint: int) -> tuple:
     """(labels, row lengths, indices, values) of the rows of chunk, whose
     first line has number lineno.
 
-    The fast path takes the chunk when every non-blank line matches
-    _FAST_LINE: it converts the index and value tokens by one numpy call
-    each, which takes each token as int() or float() does. If a line does
-    not match, a token does not convert or an array check fails, the
-    per-line parser takes the whole chunk, so every error keeps its text,
-    line and column.
+    The byte tokenizer takes the chunk when it can; otherwise the per-line
+    parser takes the whole chunk, so every error keeps its text, line and
+    column.
     """
-    matches = [_FAST_LINE.fullmatch(line) for line in chunk if line.strip()]
-    if all(matches):
-        counts = np.array([match[2].count(":") for match in matches], dtype=np.int64)
-        tokens = " ".join(match[2] for match in matches).replace(":", " ").split()
-        try:
-            indices = np.array(tokens[::2], dtype=np.int64) - 1
-            values = np.array(tokens[1::2], dtype=np.float64)
-        except (ValueError, OverflowError):
-            pass  # the per-line parser gives the error
-        else:
-            # rising[p]: indices[p + 1] starts a row or is above indices[p]
-            rising = np.diff(indices) > 0
-            starts = np.cumsum(counts) - counts
-            rising[starts[(starts > 0) & (starts < len(indices))] - 1] = True
-            if (np.isfinite(values).all() and rising.all()
-                    and indices.min(initial=0) >= 0 and indices.max(initial=0) < d_hint):
-                labels = [_LABEL_MAP[match[1]] for match in matches]
-                return np.array(labels, dtype=np.int64), counts, indices, values
+    parsed = _tokenize(chunk, d_hint)
+    if parsed is not None:
+        return parsed
     slow = LibsvmData.from_rows([
         _parse_line(line, k, d_hint) for k, line in enumerate(chunk, start=lineno) if line.strip()
     ])
     return slow.labels, np.diff(slow.indptr), slow.indices, slow.values
+
+
+def _tokenize(chunk: list[str], d_hint: int) -> tuple | None:
+    """What _parse_chunk returns, from numpy passes over the chunk's ASCII
+    bytes, or None when a byte, token or array check fails.
+
+    Tokens are the runs of non-blank bytes, and the first token of a line is
+    its label, one of +1 -1 1 0. A feature token holds one colon, with 1 to
+    18 digits before it and a value after it. An index, and a value of at
+    most 18 digits, is accumulated digit by digit into an int64, which
+    holds it exactly, so the value is float() of it once cast to float64;
+    any other value of at most _VALUE_WIDTH bytes is cast from a padded
+    bytes array, which numpy converts as float() does and rejects where
+    float() does.
+    """
+    try:
+        raw = np.frombuffer("".join(chunk).encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    kind = np.take(_BYTE_CLASS, raw)
+    if (kind == _OTHER).any():
+        return None
+    # each token is raw[starts[t]:ends[t]]; the first token after each line
+    # end, and the chunk's first token, is a label
+    edges = np.flatnonzero(np.diff(kind != _BLANK, prepend=False, append=False))
+    starts, ends = edges[::2], edges[1::2]
+    first = np.zeros(len(starts), dtype=bool)
+    first[:1] = True
+    after = np.searchsorted(starts, np.flatnonzero(raw == ord("\n")))
+    first[after[after < len(starts)]] = True
+
+    at = starts[first]
+    size = ends[first] - at
+    head = raw[at]
+    tail = raw[np.minimum(at + 1, len(raw) - 1)]
+    label_ok = np.where(size == 1, (head == ord("1")) | (head == ord("0")),
+                        (size == 2) & ((head == ord("+")) | (head == ord("-"))) & (tail == ord("1")))
+    if not label_ok.all():
+        return None
+    labels = np.where((head == ord("0")) | (head == ord("-")), np.int64(-1), np.int64(1))
+
+    starts, ends = starts[~first], ends[~first]
+    colons = np.flatnonzero(kind == _COLON)
+    # as colons and tokens are both in order, this puts exactly one colon in
+    # each feature token, with something on either side of it
+    if len(colons) != len(starts) or not ((starts < colons) & (colons < ends - 1)).all():
+        return None
+    # with the label signs left out, each value byte (.eE+-) lies in a
+    # feature token; it must follow the colon, and makes the value not plain
+    kind[at] = _BLANK
+    where = np.flatnonzero(kind == _VALUE)
+    token = np.searchsorted(starts, where, side="right") - 1
+    if (where < colons[token]).any() or (colons - starts > _MAX_DIGITS).any():
+        return None
+    indices = _accumulate_digits(raw, starts, colons) - 1
+
+    starts = colons + 1
+    plain = ends - starts <= _MAX_DIGITS
+    plain[token] = False
+    values = _accumulate_digits(raw, starts, np.where(plain, ends, starts)).astype(np.float64)
+    rest = np.flatnonzero(~plain)
+    if len(rest):
+        starts, size = starts[rest], ends[rest] - starts[rest]
+        width = int(size.max())
+        if width > _VALUE_WIDTH:
+            return None
+        # byte b of value v goes from raw[starts[v] + b] to padded[v * width + b]
+        b = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        padded = np.zeros(len(rest) * width, dtype=np.uint8)
+        padded[np.repeat(np.arange(len(rest)) * width, size) + b] = raw[np.repeat(starts, size) + b]
+        try:
+            # a value beyond the float range is inf, which the check below
+            # rejects, as float() gives it
+            with np.errstate(over="ignore"):
+                values[rest] = padded.view(f"S{width}").astype(np.float64)
+        except ValueError:
+            return None
+
+    rows = np.flatnonzero(first)
+    counts = np.diff(rows, append=len(first)) - 1
+    # rising[p]: indices[p + 1] starts a row or is above indices[p]
+    rising = np.diff(indices) > 0
+    row_starts = rows - np.arange(len(rows))
+    rising[row_starts[(row_starts > 0) & (row_starts < len(indices))] - 1] = True
+    if not (np.isfinite(values).all() and rising.all()
+            and indices.min(initial=0) >= 0 and indices.max(initial=0) < d_hint):
+        return None
+    return labels, counts, indices, values
+
+
+def _accumulate_digits(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The int64 number each run of at most 18 digits raw[starts:ends]
+    spells, 0 for an empty run; one pass per digit column, right-aligned."""
+    out = np.zeros(len(starts), dtype=np.int64)
+    size = ends - starts
+    for k in range(int(size.max(initial=0)), 0, -1):
+        digit = np.take(raw, ends - k, mode="clip") - ord("0")
+        digit[size < k] = 0
+        out *= 10
+        out += digit
+    return out
 
 
 def _parse_line(line: str, lineno: int, d_hint: int) -> tuple[int, list[int], list[float]]:

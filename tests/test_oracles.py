@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import tracemalloc
 
@@ -663,6 +664,23 @@ FIXED_TEXTS = [
     "+1 1:1\n+2 1:1\n",  # a bad label
     "+1 1:1\n-1 1:1:2\n",  # two colons
     "",  # no lines
+    # indices of 18, 19 and 25 digits, in range and beyond it
+    "+1 000000000000000003:1 0000000000000000004:2 0000000000000000000000005:3\n",
+    "+1 1:1\n-1 123456789012345678:1\n",
+    "+1 1:1\n-1 1234567890123456789:1\n",
+    "+1 1:1\n-1 1234567890123456789012345:1\n",
+    "+1:1 2:1\n",  # a colon in the label
+    "+1 1:1\n3:1 4:1\n",  # a line that starts with a feature token
+    "+1 1:1\n-1 3:\n",  # an empty value
+    "+1 1:1\n-1 :3\n",  # an empty index
+    "+1 1:1\n-1 3:+\n",  # values made of value bytes alone
+    "+1 1:1\n-1 3:-\n",
+    "+1 1:1\n-1 3:.\n",
+    "+1 1:1\n-1 3:e5\n",
+    # digit-only values of 15, 16, 19 and 25 digits; float() rounds 2^53 + 1
+    "+1 1:123456789012345 2:1234567890123456 3:9007199254740993"
+    " 4:1234567890123456789 5:1234567890123456789012345\n",
+    "-1 3:-0\n-1 3:0\n+1 3:007\n",  # -0 and 0 differ in the sign bit
 ]
 
 
@@ -756,6 +774,33 @@ def test_fast_path_matches_the_per_line_parser_on_random_invalid_lines(tmp_path)
         text = "\n".join(lines)
         want = assert_parses_like_the_reference(tmp_path / "broken.libsvm", text, 40)
         assert len(want) == 3  # rejected
+
+
+def test_every_short_value_converts_as_float_does():
+    # every value of up to 3 bytes the tokenizer could take, one line each
+    for size in (1, 2, 3):
+        for chars in itertools.product("0123456789.eE+-", repeat=size):
+            text = "-1 2:" + "".join(chars) + "\n"
+            want = outcome(lambda: reference_parse(text, 20))
+            assert outcome(lambda: parse_libsvm_lines(text, 20)) == want, text
+
+
+def test_a_long_value_parses_in_a_small_buffer():
+    # about 12k short values and one of 16 KB in one chunk: padding every
+    # value to the longest would take about 200 MB
+    short = "+1" + "".join(f" {k}:.5" for k in range(1, 10)) + "\n"
+    lines = [short] * (oracles._CHUNK_CHARS // len(short)) + ["-1 3:0." + "5" * (1 << 14) + "\n"]
+    text = "".join(lines * 2)
+    assert chunk_lines(text)[0] == range(1, len(lines) + 1)
+    want = outcome(lambda: reference_parse(text, 20))
+    tracemalloc.start()
+    try:
+        got = outcome(lambda: parse_libsvm_lines(text, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and len(want) == 4
+    assert peak < 20e6
 
 
 def test_generated_dataset_takes_the_fast_path_only(tmp_path, monkeypatch):
