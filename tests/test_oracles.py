@@ -669,6 +669,7 @@ FIXED_TEXTS = [
     "+1 1:1\n-1 123456789012345678:1\n",
     "+1 1:1\n-1 1234567890123456789:1\n",
     "+1 1:1\n-1 1234567890123456789012345:1\n",
+    "+1 1:1\n-1 18446744073709551619:1\n",  # 2^64 + 3, which an int64 wraps to 3
     "+1:1 2:1\n",  # a colon in the label
     "+1 1:1\n3:1 4:1\n",  # a line that starts with a feature token
     "+1 1:1\n-1 3:\n",  # an empty value
@@ -786,8 +787,8 @@ def test_every_short_value_converts_as_float_does():
 
 
 def test_a_long_value_parses_in_a_small_buffer():
-    # about 12k short values and one of 16 KB in one chunk: padding every
-    # value to the longest would take about 200 MB
+    # about 12k short values and one of 16 KB in one chunk: a tokenizer that
+    # padded every value to the longest would take about 200 MB
     short = "+1" + "".join(f" {k}:.5" for k in range(1, 10)) + "\n"
     lines = [short] * (oracles._CHUNK_CHARS // len(short)) + ["-1 3:0." + "5" * (1 << 14) + "\n"]
     text = "".join(lines * 2)
@@ -803,16 +804,41 @@ def test_a_long_value_parses_in_a_small_buffer():
     assert peak < 20e6
 
 
-def test_generated_dataset_takes_the_fast_path_only(tmp_path, monkeypatch):
-    path = tmp_path / "synth.libsvm"
-    write_synthetic_libsvm(str(path), m=3000, d=123, seed=3)
-    want = reference_parse(path.read_text(encoding="ascii"), 123)
+def long_value_text():
+    """Real values, one in a hundred spelled in 40 decimals, over several chunks."""
+    rng = np.random.default_rng(11)
+    return "".join(
+        f"-1 {k}:{x:.40f} {k + 1}:{x!r}\n" if k % 100 == 0 else f"+1 {k % 40 + 1}:{x!r}\n"
+        for k, x in enumerate(rng.standard_normal(8000).tolist(), start=1)
+    )
+
+
+def assert_takes_the_fast_path_only(monkeypatch, path, d_hint):
+    want = reference_parse(path.read_text(encoding="ascii"), d_hint)
 
     def per_line(*args):
         raise AssertionError("the per-line parser ran")
 
     monkeypatch.setattr(oracles, "_parse_line", per_line)
-    assert same_data(load_libsvm(str(path), 123), want)
+    assert same_data(load_libsvm(str(path), d_hint), want)
+
+
+def test_generated_dataset_takes_the_fast_path_only(tmp_path, monkeypatch):
+    path = tmp_path / "synth.libsvm"
+    write_synthetic_libsvm(str(path), m=3000, d=123, seed=3)
+    assert_takes_the_fast_path_only(monkeypatch, path, 123)
+
+
+@pytest.mark.parametrize("text,d", [
+    # every spelling random_line uses for a plain line
+    (lambda: random_text(np.random.default_rng(5), 3000, 40, 0.0), 40),
+    (long_value_text, 8001),
+], ids=["random_spellings", "long_values"])
+def test_real_valued_texts_take_the_fast_path_only(tmp_path, monkeypatch, text, d):
+    path = tmp_path / "real.libsvm"
+    path.write_text(text(), encoding="ascii")
+    assert len(chunk_lines(path.read_text(encoding="ascii"))) > 1
+    assert_takes_the_fast_path_only(monkeypatch, path, d)
 
 
 def test_a_chunk_with_an_odd_line_falls_back_alone(monkeypatch):
