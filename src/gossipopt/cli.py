@@ -303,15 +303,9 @@ def load_dataset(cfg: ProblemConfig):
 
 def build_problem(cfg: ProblemConfig, n: int, seed: int, data):
     if cfg.kind == "synthetic_piecewise":
-        problem = PiecewiseProblem.generate(n, cfg.d, cfg.samples_per_client, cfg.gen_seed)
-    else:
-        problem = CappedHingeSvmProblem.from_shards(
-            data, shard(data, n, seed), cfg.d, lam=cfg.lam, alpha=cfg.alpha
-        )
-    return replace(
-        problem,
-        lipschitz_L=cfg.lipschitz or problem.lipschitz_L,
-        grad_bound_G=cfg.grad_bound or problem.grad_bound_G,
+        return PiecewiseProblem.generate(n, cfg.d, cfg.samples_per_client, cfg.gen_seed)
+    return CappedHingeSvmProblem.from_shards(
+        data, shard(data, n, seed), cfg.d, lam=cfg.lam, alpha=cfg.alpha
     )
 
 
@@ -396,7 +390,9 @@ def plan_experiment(cfg: ExperimentConfig) -> tuple[Path, MixingMatrix, list]:
             try:
                 plan = plan_parameters(
                     alg.delta, alg.epsilon, n, cfg.problem.d, matrix.gamma,
-                    problem.lipschitz_L, problem.grad_bound_G, alg.oracle, seed,
+                    cfg.problem.lipschitz or problem.lipschitz,
+                    cfg.problem.grad_bound or problem.lipschitz,
+                    alg.oracle, seed,
                     sigma=alg.sigma, c0=alg.c0, nu=alg.nu, delta_prime=alg.delta_prime,
                     eta=eta, D=diameter, K=alg.K, T=alg.T, eps_prime=alg.eps_prime,
                     # the baseline mixes with one plain round, whatever the planner would pick
@@ -540,9 +536,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run every (grid cell, seed) in a config")
     p_run.add_argument("config")
-    p_run.add_argument("--dry-run", action="store_true", help="print every plan, run nothing")
 
-    p_plan = sub.add_parser("plan", help="print every (grid cell, seed) plan (dry run)")
+    p_plan = sub.add_parser("plan", help="print every (grid cell, seed) plan, run nothing")
     p_plan.add_argument("config")
 
     p_cmp = sub.add_parser("compare", help="merge traces into a long-format CSV")
@@ -569,7 +564,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in ("run", "plan"):
             cfg = parse_config(args.config)
-            if args.command == "plan" or args.dry_run:
+            if args.command == "plan":
                 _, _, runs = plan_experiment(cfg)
                 print("\n\n".join(_format_plan(plan, cfg.algorithm.method) for _, plan, _ in runs))
             else:

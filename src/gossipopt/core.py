@@ -166,8 +166,6 @@ def plan_parameters(
         raise PlanError(f"gamma must be in (0, 1], got {gamma}")
     if n < 1 or d < 1:
         raise PlanError("n and d must be >= 1")
-    if oracle_type not in ORACLE_TYPES:
-        raise PlanError(f"oracle_type must be one of {ORACLE_TYPES}, got {oracle_type!r}")
     if sigma is None:
         sigma = G
 

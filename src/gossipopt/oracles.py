@@ -340,7 +340,7 @@ def subsample(data: LibsvmData, k: int, seed: int) -> LibsvmData:
     return data.take(keep)
 
 
-def write_synthetic_libsvm(path: str, m: int, d: int, seed: int, nnz_per_row: int = 14) -> None:
+def write_synthetic_libsvm(path: str, m: int, d: int, seed: int) -> None:
     """Generate a sparse binary-feature classification set in LIBSVM format.
 
     Planted linear labels with 10% flip noise over 0/1-valued features,
@@ -351,7 +351,7 @@ def write_synthetic_libsvm(path: str, m: int, d: int, seed: int, nnz_per_row: in
     w_star = rng.standard_normal(d)
     rows = []
     for _ in range(m):
-        k = min(d, max(1, int(rng.poisson(nnz_per_row))))
+        k = min(d, max(1, int(rng.poisson(14))))
         idx = np.sort(rng.choice(d, size=k, replace=False))
         score = w_star[idx].sum() + 0.5 * rng.standard_normal()
         label = 1 if score > 0 else -1
@@ -382,16 +382,18 @@ def _cuts(total: int, most: int) -> np.ndarray:
 
 
 def _client_slices(counts: list[int]) -> list[slice]:
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(len(counts))]
+    return [slice(int(lo), int(hi)) for lo, hi in pairwise(_indptr(counts))]
 
 
 class _ShardedProblem:
     """Row bookkeeping shared by the problems: client i owns the contiguous
-    row block slices[i] of the sample arrays."""
+    row block slices[i] of the sample arrays. lipschitz bounds both the
+    Lipschitz constant of every sample loss and the norm of every sample
+    subgradient: the planner's L and G, unless the config sets them."""
 
     n: int
     slices: list[slice]
+    lipschitz: float
 
     def shard_size(self, client: int) -> int:
         s = self.slices[client]
@@ -429,8 +431,7 @@ class CappedHingeSvmProblem(_ShardedProblem):
     labels: np.ndarray = field(repr=False)  # (m,), b_s in {-1, +1}
     row_norms: np.ndarray = field(repr=False)  # (m,), |a_s|
     slices: list[slice] = field(repr=False)
-    lipschitz_L: float = 0.0
-    grad_bound_G: float = 0.0
+    lipschitz: float
     _buffer: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False)
 
     @classmethod
@@ -480,8 +481,7 @@ class CappedHingeSvmProblem(_ShardedProblem):
             labels=labels,
             row_norms=row_norms,
             slices=_client_slices(sizes),
-            lipschitz_L=bound,
-            grad_bound_G=bound,
+            lipschitz=bound,
         )
 
     def sample_value(self, client: int, j: int, x: np.ndarray) -> float:
@@ -617,8 +617,7 @@ class PiecewiseProblem(_ShardedProblem):
     p: np.ndarray = field(repr=False)  # (m,)
     q: np.ndarray = field(repr=False)
     slices: list[slice] = field(repr=False)
-    lipschitz_L: float = 0.0
-    grad_bound_G: float = 0.0
+    lipschitz: float
 
     @classmethod
     def generate(cls, n: int, d: int, samples_per_client: int, seed: int) -> "PiecewiseProblem":
@@ -665,8 +664,7 @@ class PiecewiseProblem(_ShardedProblem):
             p=p,
             q=q,
             slices=_client_slices([m // n] * n),
-            lipschitz_L=bound,
-            grad_bound_G=bound,
+            lipschitz=bound,
         )
 
     def sample_value(self, client: int, j: int, x: np.ndarray) -> float:

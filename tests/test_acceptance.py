@@ -74,7 +74,7 @@ def test_criterion_1_gossip_contraction():
 def test_criterion_2_zeroth_order_estimator():
     with criterion(2, "zeroth-order estimator", 30.0):
         problem = PiecewiseProblem.generate(n=2, d=20, samples_per_client=4, seed=41)
-        L = problem.lipschitz_L
+        L = problem.lipschitz
         w = stream(42, "datagen", 3).standard_normal(20) * 0.25
         mu = 0.1
         draws = 100_000
@@ -122,7 +122,7 @@ def test_criterion_4_consensus_guarantees():
         matrix = build_ring(n, 1)
         problem = PiecewiseProblem.generate(n=n, d=d, samples_per_client=3, seed=17)
         plan = plan_parameters(
-            0.4, 0.9, n, d, matrix.gamma, problem.lipschitz_L, problem.grad_bound_G,
+            0.4, 0.9, n, d, matrix.gamma, problem.lipschitz, problem.lipschitz,
             "first", seed=7, K=2, T=150,
         )
         assert plan.consensus_guaranteed

@@ -19,7 +19,7 @@ from gossipopt.cli import (
     plan_experiment,
     run_experiment,
 )
-from gossipopt.core import RunPlan
+from gossipopt.core import RunPlan, plan_parameters
 from text_forms import serialize_config
 
 MINIMAL = """\
@@ -565,10 +565,8 @@ def test_output_dir_env_override(tmp_path):
 
 def test_dry_run_prints_resolved_plan(tmp_path, capsys):
     path, out = write_config(tmp_path, MINIMAL.replace("eta = 0.002", "eta = 0.002, 0.004"))
-    assert main(["run", path, "--dry-run"]) == 0
-    printed = capsys.readouterr().out
     assert main(["plan", path]) == 0
-    assert capsys.readouterr().out == printed
+    printed = capsys.readouterr().out
     assert not out.exists()
     # one block per (grid cell, seed), cells outer, each naming every plan field
     blocks = [dict(line.split(" = ") for line in block.splitlines())
@@ -596,26 +594,45 @@ def test_baseline_reports_the_one_round_it_runs(tmp_path, capsys):
     assert all(r["communication_rounds"] == 2 * 40 for r in payload["runs"])
 
 
-def test_synthetic_problem_takes_the_lipschitz_and_grad_bound_overrides(tmp_path, capsys):
+def test_synthetic_problem_takes_the_lipschitz_and_grad_bound_overrides(
+    tmp_path, monkeypatch, capsys
+):
+    import gossipopt.cli as cli
+
+    received = []
+
+    def recording(*args, **kwargs):
+        received.append(args[5:7])  # (L, G)
+        return plan_parameters(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "plan_parameters", recording)
     data = tmp_path / "small.libsvm"
     data.write_text("+1 1:1\n-1 2:1\n+1 3:1\n-1 1:1\n")
     svm = SVM_CONFIG.replace("{data}", str(data))
-    # (base config, the line the override goes after, key, problem attribute)
+    # (base config, the line the overrides go after, overrides, (L, G) they set)
     cases = [
-        (MINIMAL, "gen_seed = 5\n", "lipschitz", "lipschitz_L"),
-        (MINIMAL, "gen_seed = 5\n", "grad_bound", "grad_bound_G"),
-        (svm, "d = 3\n", "lipschitz", "lipschitz_L"),
+        (MINIMAL, "gen_seed = 5\n", "lipschitz = 50\n", (50.0, None)),
+        (MINIMAL, "gen_seed = 5\n", "grad_bound = 7\n", (None, 7.0)),
+        (MINIMAL, "gen_seed = 5\n", "lipschitz = 50\ngrad_bound = 7\n", (50.0, 7.0)),
+        (svm, "d = 3\n", "lipschitz = 50\n", (50.0, None)),
+        (svm, "d = 3\n", "grad_bound = 7\n", (None, 7.0)),
     ]
-    for i, (base, line, key, attr) in enumerate(cases):
+    for i, (base, line, overrides, (L, G)) in enumerate(cases):
         path, _ = write_config(tmp_path, base, name=f"base{i}.ini")
+        received.clear()
+        bounds = [problem.lipschitz for _, _, problem in plan_experiment(parse_config(path))[2]]
+        # unset, both constants are the problem's one bound
+        assert received == [(b, b) for b in bounds], i
         assert main(["plan", path]) == 0
         planned = capsys.readouterr().out
-        text = base.replace(line, f"{line}{key} = 50\n")
-        path, _ = write_config(tmp_path, text, name=f"{i}.ini")
+        path, _ = write_config(tmp_path, base.replace(line, line + overrides), name=f"{i}.ini")
+        received.clear()
+        runs = plan_experiment(parse_config(path))[2]
+        assert received == [(L or b, G or b) for b in bounds], i
+        # the override reaches the planner only; the problem keeps its bound
+        assert [problem.lipschitz for _, _, problem in runs] == bounds, i
         assert main(["plan", path]) == 0
-        assert capsys.readouterr().out != planned, (i, key)
-        for _, _, problem in plan_experiment(parse_config(path))[2]:
-            assert getattr(problem, attr) == 50.0
+        assert capsys.readouterr().out != planned, i
 
 
 def test_cli_exit_codes(tmp_path):
@@ -763,6 +780,22 @@ def test_compare_rejects_schema_mismatch(tmp_path):
         emit_comparison([str(bad)], "samples")
     with pytest.raises(ConfigError, match="x_axis"):
         emit_comparison([str(bad)], "time")
+
+
+def test_compare_command_writes_the_merged_csv(tmp_path, capsys):
+    path, out = write_config(tmp_path)
+    run_experiment(parse_config(path))
+    traces = [str(out / "trace_1.csv"), str(out / "trace_2.csv")]
+    expected = emit_comparison(traces, "communication", labels=["a", "b"])
+    merged = tmp_path / "merged.csv"
+    args = ["compare", *traces, "--x-axis", "communication", "--labels", "a,b"]
+    assert main([*args, "--out", str(merged)]) == 0
+    assert merged.read_text() == expected
+    assert capsys.readouterr().out == ""
+    assert main(args) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["compare", *traces, "--labels", "a"]) == 1
+    assert "labels must match" in capsys.readouterr().err
 
 
 def test_goldstein_cadence_fills_cells(tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import os
 import subprocess
@@ -152,7 +153,7 @@ def test_planner_input_validation():
         plan_parameters(0.0, 0.5, 4, 3, 0.5, 1.0, 1.0, "first")
     with pytest.raises(PlanError):
         plan_parameters(0.5, 0.5, 4, 3, 1.5, 1.0, 1.0, "first")
-    with pytest.raises(PlanError):
+    with pytest.raises(PlanError, match="oracle_type must be one of"):
         plan_parameters(0.5, 0.5, 4, 3, 0.5, 1.0, 1.0, "second")
     with pytest.raises(PlanError):
         plan_parameters(0.5, 0.5, 4, 3, 0.5, 1.0, 1.0, "first", D=0.01, eps_prime=0.02)
@@ -178,8 +179,6 @@ class _NullGradientProblem:
     def __init__(self, n, d):
         self.n = n
         self.d = d
-        self.lipschitz_L = 1.0
-        self.grad_bound_G = 1.0
 
     def shard_size(self, client):
         return 1
@@ -412,7 +411,7 @@ def test_consensus_bounds_hold_with_planned_rounds():
     problem = _toy_problem(n=n, d=d)
     matrix = build_ring(n, 1)
     plan = plan_parameters(
-        0.4, 0.9, n, d, matrix.gamma, problem.lipschitz_L, problem.grad_bound_G,
+        0.4, 0.9, n, d, matrix.gamma, problem.lipschitz, problem.lipschitz,
         "first", seed=3, K=2, T=30,
     )
     assert plan.consensus_guaranteed
@@ -501,6 +500,19 @@ def test_forged_guarantee_raises_in_every_interpreter_mode():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [optimize, "InvariantViolation", "1", "1", "True"]
+
+
+def test_package_holds_no_assert_statement():
+    # python -O strips assert statements, so a check written as one would
+    # vanish there; every guarantee of the package raises instead
+    package = Path(__file__).resolve().parents[1] / "src" / "gossipopt"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_plan_problem_matrix_compatibility_checked():

@@ -1035,7 +1035,7 @@ def test_zeroth_order_second_moment_bound():
     for j, z in queries(p, 0, sphere, stream(33, "xi", 1, 1), stream(33, "z", 1, 1), draws):
         g = zeroth_order_estimator(p, 0, j, w, 0.05, z)
         total += float(g @ g)
-    bound = 16.0 * math.sqrt(2.0 * math.pi) * p.d * p.lipschitz_L**2
+    bound = 16.0 * math.sqrt(2.0 * math.pi) * p.d * p.lipschitz**2
     assert total / draws <= 1.05 * bound
 
 

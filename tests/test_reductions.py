@@ -107,7 +107,7 @@ def test_step_checks_observe_the_linalg_values(monkeypatch):
     problem = PiecewiseProblem.generate(n=n, d=d, samples_per_client=3, seed=5)
     matrix = build_ring(n, 1)
     plan = plan_parameters(
-        0.4, 0.9, n, d, matrix.gamma, problem.lipschitz_L, problem.grad_bound_G,
+        0.4, 0.9, n, d, matrix.gamma, problem.lipschitz, problem.lipschitz,
         "first", seed=3, K=2, T=30,
     )
     assert plan.consensus_guaranteed
