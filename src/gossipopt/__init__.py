@@ -15,8 +15,11 @@ __version__ = "0.1.0"
 # from the rest; 6: each step draws the randomness of its q oracle queries
 # as one block, the q sample indices in one call, then a (q, d) block of
 # normals and, for the ball, q radii (the full-participation baseline drew
-# its n directions one after another before).
-TRACE_FORMAT = 6
+# its n directions one after another before); 7: each epoch draws its
+# steps' randomness in blocks of max(1, 2^15 // (q d)) steps, so a ball
+# block takes all its normals before its radii and first-order traces move;
+# the s, client, xi and sphere draws, and so zeroth-order traces, do not.
+TRACE_FORMAT = 7
 
 
 def active_backend() -> str:

@@ -400,7 +400,8 @@ def plan_experiment(cfg: ExperimentConfig) -> tuple[Path, MixingMatrix, list]:
                     per_client_selector=alg.per_client_selector,
                 )
             except PlanError as exc:
-                raise ConfigError(f"algorithm: {exc}") from exc
+                key = f"algorithm.{exc.key}" if exc.key else "algorithm"
+                raise ConfigError(f"{key}: {exc}") from exc
             runs.append((cell_dir / f"trace_{seed}.csv", plan, problem))
     return out_dir, matrix, runs
 

@@ -13,9 +13,11 @@ Two drivers share one epoch loop and differ only in their step:
 
 Randomness is organized in decoupled per-purpose streams derived from the
 plan seed (see rng module), one generator per (purpose, epoch) consumed in
-step order. Each step draws the randomness of its oracle queries as one
-block, and the estimators are deterministic in what was drawn. The full
-trajectory is a deterministic function of (seed, plan, problem, matrix).
+step order. The epoch loop draws the randomness of every step, in blocks of
+up to BLOCK_DOUBLES // (q d) steps for q oracle queries per step, and hands
+each step its draws; the estimators are deterministic in what was drawn.
+The full trajectory is a deterministic function of (seed, plan, problem,
+matrix).
 
 Each estimator call counts as one sample: a zeroth-order call is one
 two-point query, and its two raw function evaluations are counted apart in
@@ -46,9 +48,17 @@ from .topology import MixingMatrix
 
 ORACLE_TYPES = ("first", "zeroth")
 
+# the most directions' doubles one block of steps draws: 2^15, or 256 KB
+BLOCK_DOUBLES = 1 << 15
+
 
 class PlanError(ValueError):
-    pass
+    """A plan cannot be made; key names the planner argument at fault, if
+    one is."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class DivergenceError(RuntimeError):
@@ -181,7 +191,8 @@ def plan_parameters(
 
     T = t_formula if T is None else int(T)
     K = math.ceil(24.0 * (nu + L) / (delta * epsilon)) if K is None else int(K)
-    D = delta / (4.0 * T) if D is None else float(D)
+    planned_D = D is None
+    D = delta / (4.0 * T) if planned_D else float(D)
     eta = D / (G * math.sqrt(T)) if eta is None else float(eta)
 
     if eps_prime is None:
@@ -197,9 +208,9 @@ def plan_parameters(
         eps_prime = min(cap_geometry, cap_accuracy)
     eps_prime = float(eps_prime)
     if not 0 < eps_prime < D:
-        raise PlanError(
-            f"resolved eps_prime = {eps_prime} outside (0, D = {D})"
-        )
+        source = f"the planner's D = delta / (4 T) = {D}" if planned_D else f"D = {D}"
+        raise PlanError(f"eps_prime = {eps_prime} must be above 0 and below {source}",
+                        key="eps_prime")
 
     planned_r = 1 if n == 1 else plan_rounds(gamma, n, D, eps_prime)
     R = planned_r if R is None else int(R)
@@ -292,16 +303,13 @@ def run_docs(
     breach.
     """
     _check_compatible(plan, problem, matrix)
-    n, d = plan.n, plan.d
-    estimator, evals, directions = _estimator(plan)
-    sizes = _shard_sizes(problem)
+    n = plan.n
+    estimator, evals = _estimator(plan)
     gossip_cfg = GossipConfig(matrix, plan.R)
+    upd_norm = 0.0  # the last clipped update's norm, read by the check
 
-    def step(k, t, y, delta_half, w, rng_client, rng_xi, rng_z, counters):
-        i = int(rng_client.integers(n))
-        # the q = 1 block: a scalar high draws what integers(sizes[[i]]) does
-        j = int(rng_xi.integers(sizes[i]))
-        z = directions(rng_z, 1, d)[0]
+    def step(k, t, y, delta_half, w, i, j, z, counters):
+        nonlocal upd_norm
         x = y.copy()
         x[i] += n * delta_half[i]
         y = fast_gossip(gossip_cfg, x)
@@ -315,20 +323,21 @@ def run_docs(
         # non-finite states fall through to the divergence check
         if math.isfinite(upd_norm):
             _require("clipped update norm", upd_norm, n * plan.D, k, t, rtol=1e-12)
-        return i, x, y, delta, fast_gossip(gossip_cfg, delta)
+        return x, y, delta, fast_gossip(gossip_cfg, delta)
 
     y_bound = plan.y_consensus_bound()
+    reach = gossip_cfg.reach
 
-    def check_consensus(k, t, x, y, delta_half):
+    def check_consensus(k, t, i, x, y, delta_half):
         _, max_delta_err = consensus_errors(x, delta_half)
         _require("mixed-update consensus", max_delta_err, plan.eps_prime, k, t)
-        sq_norms = np.add.reduce(delta_half * delta_half, axis=1)
-        _require("mixed update norm", math.sqrt(np.maximum.reduce(sq_norms)),
-                 plan.D + plan.eps_prime, k, t)
+        # the pre-mix stack is the one row upd at client i, so mixed row j
+        # is M_R[j, i] * upd and the largest row norm is reach[i] * |upd|
+        _require("mixed update norm", reach[i] * upd_norm, plan.D + plan.eps_prime, k, t)
         _require("iterate consensus", _max_row_distance(y), y_bound, k, t)
 
     check = check_consensus if plan.consensus_guaranteed else None
-    return _epoch_loop(plan, problem, step, 2 * plan.R, check, sink, metrics_every,
+    return _epoch_loop(plan, problem, step, True, 2 * plan.R, check, sink, metrics_every,
                        goldstein_cfg, goldstein_every, step_observer)
 
 
@@ -346,14 +355,11 @@ def run_baseline_full_participation(
     """Full-participation driver: n oracle calls per step, one plain gossip
     round per mixing point (plan.R is not used)."""
     _check_compatible(plan, problem, matrix)
-    n, d = plan.n, plan.d
-    estimator, evals, directions = _estimator(plan)
-    sizes = _shard_sizes(problem)
+    n = plan.n
+    estimator, evals = _estimator(plan)
     mu, eta, D = plan.delta_prime, plan.eta, plan.D
 
-    def step(k, t, y, delta_half, w, rng_client, rng_xi, rng_z, counters):
-        js = rng_xi.integers(sizes).tolist()
-        Z = directions(rng_z, n, d)
+    def step(k, t, y, delta_half, w, _, js, Z, counters):
         x = y + delta_half
         y = plain_gossip(matrix, x, 1)
         delta = np.empty_like(x)
@@ -361,9 +367,9 @@ def run_baseline_full_participation(
             delta[i] = inner_update(half_i, estimator(problem, i, j, w_i, mu, z_i), eta, D, 1)
         counters.samples_total += n
         counters.function_evals += n * evals
-        return None, x, y, delta, plain_gossip(matrix, delta, 1)
+        return x, y, delta, plain_gossip(matrix, delta, 1)
 
-    return _epoch_loop(plan, problem, step, 2, None, sink, metrics_every,
+    return _epoch_loop(plan, problem, step, False, 2, None, sink, metrics_every,
                        goldstein_cfg, goldstein_every, step_observer)
 
 
@@ -378,16 +384,10 @@ def _check_compatible(plan: RunPlan, problem, matrix: MixingMatrix) -> None:
 
 
 def _estimator(plan: RunPlan):
-    """The plan's estimator, the raw function evaluations one call makes and
-    the sampler of its (q, d) direction block."""
+    """The plan's estimator and the raw function evaluations one call makes."""
     if plan.oracle_type == "first":
-        return first_order_estimator, 0, ball
-    return zeroth_order_estimator, 2, sphere
-
-
-def _shard_sizes(problem) -> np.ndarray:
-    """Each client's shard size, the high of its sample index draw."""
-    return np.array([problem.shard_size(i) for i in range(problem.n)])
+        return first_order_estimator, 0
+    return zeroth_order_estimator, 2
 
 
 def _require(what: str, observed: float, bound: float, k: int, t: int,
@@ -396,10 +396,48 @@ def _require(what: str, observed: float, bound: float, k: int, t: int,
         raise InvariantViolation(what, k, t, observed, bound)
 
 
+def _step_draws(plan: RunPlan, k: int, sampled: bool, sizes: np.ndarray):
+    """Yield (t, s, i, j, z) for each step t of epoch k, drawn in blocks.
+
+    Each step queries q oracles: the one client it samples when ``sampled``
+    (the client-sampled driver), else all n clients in order. The epoch's
+    s, client, xi and z streams are built once and drawn in blocks of
+    L = max(1, BLOCK_DOUBLES // (q d)) steps, the last block cut at the
+    epoch's end. A block of m steps draws (m, n) values s, then, when
+    sampled, m active clients, then one xi ``integers`` call with the m q
+    queries' shard sizes and one (m q, d) block of directions: ball for the
+    first-order oracle, sphere for the zeroth. s is yielded as an (n, 1)
+    column. When sampled, i is the active client, j one sample index and z
+    one (d,) direction; otherwise i is None, j a list of n sample indices
+    and z an (n, d) block.
+    """
+    n, d = plan.n, plan.d
+    q = 1 if sampled else n
+    block = max(1, BLOCK_DOUBLES // (q * d))
+    directions = ball if plan.oracle_type == "first" else sphere
+    rng_s, rng_client, rng_xi, rng_z = (
+        stream(plan.seed, purpose, k) for purpose in ("s", "client", "xi", "z")
+    )
+    for first in range(1, plan.T + 1, block):
+        m = min(block, plan.T + 1 - first)
+        S = rng_s.random((m, n))[:, :, None]
+        if sampled:
+            clients = rng_client.integers(n, size=m)
+            J = rng_xi.integers(sizes[clients]).tolist()
+            Z = directions(rng_z, m, d)
+            clients = clients.tolist()
+        else:
+            clients = [None] * m
+            J = rng_xi.integers(np.tile(sizes, m)).reshape(m, n).tolist()
+            Z = directions(rng_z, m * n, d).reshape(m, n, d)
+        yield from zip(range(first, first + m), S, clients, J, Z)
+
+
 def _epoch_loop(
     plan: RunPlan,
     problem,
     step: Callable,
+    sampled: bool,
     comm_per_step: int,
     check: Callable | None,
     sink: MetricsSink | None,
@@ -411,19 +449,19 @@ def _epoch_loop(
     """Run K epochs of T steps around a driver's step.
 
     The loop owns everything the drivers share: the output-epoch selector,
-    the epoch's s, client, xi and z streams (built once per epoch and
-    consumed in step order), the query points w, the counters, the
+    the draws of every step (``_step_draws``, in blocks of steps; ``sampled``
+    marks the client-sampled driver), the query points w, the counters, the
     divergence check, the sum of w over the selected epoch, the observer and
-    the trace records with their probes. ``step(k, t, y, delta_half, w,
-    rng_client, rng_xi, rng_z, counters)`` draws its active client, if it
-    has one, from rng_client, draws its queries' sample indices from rng_xi
-    and their directions from rng_z as one block in client order, calls the
-    estimator once per query, counts each call in counters and mixes both
-    stacks; it returns (active client or None, x, mixed y, pre-mix update
-    stack, mixed update stack). ``check(k, t, x, y, delta_half)``, when given, runs after
-    the divergence check.
+    the trace records with their probes. ``step(k, t, y, delta_half, w, i,
+    j, z, counters)`` gets the step's active client i (None when every
+    client queries), sample indices j and directions z, calls the estimator
+    once per query, counts each call in counters and mixes both stacks; it
+    returns (x, mixed y, pre-mix update stack, mixed update stack).
+    ``check(k, t, i, x, y, delta_half)``, when given, runs after the
+    divergence check.
     """
     n, d, seed = plan.n, plan.d, plan.seed
+    sizes = np.array([problem.shard_size(i) for i in range(n)])
     # the selector has its own stream, so the output epochs are drawn first
     # and w is summed only over them
     if plan.per_client_selector:
@@ -443,15 +481,11 @@ def _epoch_loop(
         # a mask that is True everywhere costs more than no mask
         picked = True if picked.all() else picked[:, None]
         delta_half = np.zeros((n, d))
-        rng_s, rng_client, rng_xi, rng_z = (
-            stream(seed, purpose, k) for purpose in ("s", "client", "xi", "z")
-        )
-        for t in range(1, plan.T + 1):
-            s = rng_s.random(n)
-            w = s[:, None] * delta_half
+        for t, s, active, j, z in _step_draws(plan, k, sampled, sizes):
+            w = s * delta_half
             w += y
-            active, x, y, delta_pre_mix, delta_half = step(
-                k, t, y, delta_half, w, rng_client, rng_xi, rng_z, counters
+            x, y, delta_pre_mix, delta_half = step(
+                k, t, y, delta_half, w, active, j, z, counters
             )
             counters.computation_rounds += 1
             counters.communication_rounds += comm_per_step
@@ -460,7 +494,7 @@ def _epoch_loop(
                 bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(delta_half).all(axis=1))
                 raise DivergenceError(k, t, int(np.argmax(bad)))
             if check is not None:
-                check(k, t, x, y, delta_half)
+                check(k, t, active, x, y, delta_half)
 
             if summing:
                 np.add(w_sum, w, out=w_sum, where=picked)

@@ -41,12 +41,16 @@ class GossipConfig:
 
     ``operator`` is the read-only (n, n) matrix M_R with
     fast_gossip(cfg, z) = M_R @ z, built in construction by running the
-    recursion, with phi derived from lambda2, on the identity.
+    recursion, with phi derived from lambda2, on the identity. ``reach`` is
+    the read-only vector of column maxima max_j |M_R[j, i]|: mixing a stack
+    whose one nonzero row v sits at client i gives rows M_R[j, i] * v, the
+    largest of norm reach[i] * |v|.
     """
 
     matrix: MixingMatrix
     rounds: int
     operator: np.ndarray = field(init=False, repr=False)
+    reach: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rounds < 0:
@@ -56,8 +60,10 @@ class GossipConfig:
         cur = prev.copy()
         for _ in range(self.rounds):
             prev, cur = cur, (1.0 + phi) * (P @ cur) - phi * prev
-        cur.setflags(write=False)
-        object.__setattr__(self, "operator", cur)
+        reach = np.abs(cur).max(axis=0)
+        for name, value in (("operator", cur), ("reach", reach)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 def _check_stack(n: int, z: np.ndarray) -> np.ndarray:

@@ -5,13 +5,16 @@ its own generator derived from (purpose, *key), so the draws of one purpose
 (client sampling, segment draws s, data indices, perturbation directions,
 ...) never shift when another purpose consumes more or fewer values. The
 drivers key the four step purposes by epoch alone and consume each epoch's
-generator in step order. Within a step, the q clients that query their
-oracles (all n for the full-participation baseline, the active one for the
-client-sampled driver) draw as one block, in client order: one "xi"
-``integers`` call with their shard sizes gives the q sample indices, and
-"z" gives one (q, d) block of directions (``ball`` or ``sphere``). This is
-what makes the n=1 reference-loop comparison and A/B runs that share data
-noise possible.
+generator in step order, in blocks of L steps (``core._step_draws``). Each
+step has q queries (all n clients for the full-participation baseline, in
+client order, the active one for the client-sampled driver). A block draws
+its L steps' s values as one (L, n) array, their active clients in one
+"client" call, their L q sample indices in one "xi" ``integers`` call with
+the shard sizes, and one (L q, d) block of directions from "z" (``ball`` or
+``sphere``). Every draw but the ball's equals, bit for bit, the same values
+drawn step by step; a ball block draws all its normals before its radii.
+This is what makes the n=1 reference-loop comparison and A/B runs that
+share data noise possible.
 """
 
 from __future__ import annotations

@@ -3,15 +3,19 @@ n = 1 degenerate network.
 
 Deliberately avoids the package drivers and gossip machinery: no stacked
 arrays, no mixing, one client. Shares only the estimator functions, the
-direction samplers and the per-purpose random streams (one generator per
-purpose and epoch, consumed in step order; each step draws its one query's
-sample index, then its (1, d) direction block), which is exactly what the
-equivalence check is about: with mixing degenerate, the decentralized
-drivers must reproduce this loop bit for bit.
+direction samplers, the block budget and the per-purpose random streams
+(one generator per purpose and epoch, consumed in step order), which is
+exactly what the equivalence check is about: with mixing degenerate, the
+decentralized drivers must reproduce this loop bit for bit. Each step draws
+its s and its sample index on its own, which the drivers' block draws
+reproduce bit for bit; the directions come in blocks of
+L = max(1, BLOCK_DOUBLES // d) steps, the last cut at the epoch's end,
+because a ball block draws all its normals before its radii.
 """
 
 import numpy as np
 
+from gossipopt.core import BLOCK_DOUBLES
 from gossipopt.oracles import first_order_estimator, zeroth_order_estimator
 from gossipopt.rng import ball, sphere, stream
 
@@ -26,6 +30,7 @@ def run_reference(plan, problem, observer=None):
     else:
         estimator, directions = zeroth_order_estimator, sphere
     d, seed = plan.d, plan.seed
+    block = max(1, BLOCK_DOUBLES // d)
     y = np.zeros(d)
     epoch_sums = np.zeros((plan.K, d))
     for k in range(1, plan.K + 1):
@@ -39,7 +44,9 @@ def run_reference(plan, problem, observer=None):
             w = y + s * delta_half
             y = x  # mixing over a one-client network is the identity
             j = int(rng_xi.integers(problem.shard_size(0)))
-            z = directions(rng_z, 1, d)[0]
+            if (t - 1) % block == 0:
+                Z = directions(rng_z, min(block, plan.T + 1 - t), d)
+            z = Z[(t - 1) % block]
             g = estimator(problem, 0, j, w, plan.delta_prime, z)
             v = delta_half - plan.eta * g
             norm = float(np.linalg.norm(v))

@@ -84,7 +84,9 @@ def test_criterion_2_zeroth_order_estimator():
         acc_sq = np.zeros(20)
         second_moment = 0.0
         for _ in range(draws):
-            # one query per step, drawn as the client-sampled driver draws it
+            # one query per step, drawn as the client-sampled driver draws
+            # it: its block draws give these sample indices and sphere
+            # directions bit for bit
             j = int(rng_xi.integers(problem.shard_size(0)))
             g = zeroth_order_estimator(problem, 0, j, w, mu, sphere(rng_z, 1, 20)[0])
             acc += g

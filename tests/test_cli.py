@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -294,14 +295,18 @@ def test_ranged_keys_have_a_rejection_case_and_a_readme_entry():
         assert f"`{section}.{name}`" in paragraph or f"`{name}`" in paragraph, name
 
 
-def test_plan_rejected_by_the_planner_writes_nothing(tmp_path):
+def test_plan_rejected_by_the_planner_writes_nothing(tmp_path, capsys):
     # only the planner sees that eps_prime is not below its D = delta / (4 T)
-    text = MINIMAL.replace("D = 0.01\n", "eps_prime = 0.4\n").replace("T = 20", "T = 100")
+    text = (MINIMAL.replace("D = 0.01\n", "eps_prime = 0.5\n")
+            .replace("K = 2", "K = 1").replace("T = 20", "T = 10"))
     path, out = write_config(tmp_path, text)
-    with pytest.raises(ConfigError, match=r"^algorithm: resolved eps_prime = 0.4 outside"):
+    message = ("algorithm.eps_prime: eps_prime = 0.5 must be above 0 and below "
+               "the planner's D = delta / (4 T) = 0.0125")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         run_experiment(parse_config(path))
-    for command in ("run", "plan"):
+    for command in ("plan", "run"):
         assert main([command, path]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
 
 
@@ -422,7 +427,7 @@ def test_summary_declares_trace_format(tmp_path):
     run_experiment(parse_config(path))
     payload = json.loads((out / "summary.json").read_text())
     assert payload["version"] == gossipopt.__version__
-    assert payload["trace_format"] == gossipopt.TRACE_FORMAT == 6
+    assert payload["trace_format"] == gossipopt.TRACE_FORMAT == 7
 
 
 def test_same_seed_produces_byte_identical_trace(tmp_path):

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gossipopt import core
 from gossipopt.core import (
+    BLOCK_DOUBLES,
     ORACLE_TYPES,
     DivergenceError,
     PlanError,
@@ -19,7 +21,7 @@ from gossipopt.core import (
     run_docs,
 )
 from gossipopt.oracles import PiecewiseProblem
-from gossipopt.rng import stream
+from gossipopt.rng import ball, sphere, stream
 from gossipopt.topology import build_ring, single_client
 from single_machine_reference import run_reference
 from test_oracles import make_svm
@@ -243,25 +245,31 @@ def test_single_machine_equivalence_short():
 
 def _baseline_by_layout(plan, problem, matrix):
     """The full-participation baseline written out by the documented layout:
-    each step draws the n sample indices in one xi call with the shard
-    sizes, then one (n, d) block of normals from z, normalised row by row,
-    and for the ball n radii; then it calls the scalar sample_subgradient
+    each step draws its n values s and, in one xi call with the shard sizes,
+    its n sample indices; the directions come in blocks of
+    L = max(1, BLOCK_DOUBLES // (n d)) steps, the last cut at the epoch's
+    end, each block n L d normals normalised row by row and, for the ball,
+    then n L radii. Each step calls the scalar sample_subgradient
     (sample_value for the zeroth-order pair) once per client. Returns the
     per-step (w, y, delta_half) and the count of clipped updates."""
     n, d, mu = plan.n, plan.d, plan.delta_prime
+    block = max(1, BLOCK_DOUBLES // (n * d))
     sizes = [problem.shard_size(i) for i in range(n)]
     y = np.zeros((n, d))
     rows, clipped = [], 0
     for k in range(1, plan.K + 1):
         delta_half = np.zeros((n, d))
         rng_s, rng_xi, rng_z = (stream(plan.seed, p, k) for p in ("s", "xi", "z"))
-        for _ in range(plan.T):
+        for t in range(plan.T):
             w = y + rng_s.random(n)[:, None] * delta_half
             js = rng_xi.integers(sizes)
-            z = rng_z.standard_normal((n, d))
-            z = z / np.linalg.norm(z, axis=1, keepdims=True)
-            if plan.oracle_type == "first":
-                z = rng_z.random(n)[:, None] ** (1.0 / d) * z
+            if t % block == 0:
+                m = n * min(block, plan.T - t)
+                Z = rng_z.standard_normal((m, d))
+                Z = Z / np.linalg.norm(Z, axis=1, keepdims=True)
+                if plan.oracle_type == "first":
+                    Z = rng_z.random(m)[:, None] ** (1.0 / d) * Z
+            z = Z[n * (t % block):n * (t % block + 1)]
             delta = np.empty((n, d))
             for i, j in enumerate(js.tolist()):
                 if plan.oracle_type == "first":
@@ -297,6 +305,107 @@ def test_baseline_draws_by_the_documented_layout(oracle_type):
     for got, want in zip(seen, ref):
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def _block(q, d):
+    """Steps per draw block for q queries per step in dimension d."""
+    return max(1, BLOCK_DOUBLES // (q * d))
+
+
+def _observe(driver, plan, problem, matrix):
+    seen = []
+    driver(plan, problem, matrix,
+           step_observer=lambda s: seen.append((s.w.copy(), s.y.copy(), s.delta_half.copy())))
+    return seen
+
+
+# K = 2 and T one short of, equal to and one past a block: the last block is
+# cut at each epoch's end and the next epoch starts a fresh one
+@pytest.mark.parametrize("extra", (-1, 0, 1))
+@pytest.mark.parametrize("oracle_type", ORACLE_TYPES)
+def test_block_boundaries_match_the_single_machine_reference(oracle_type, extra):
+    d = 512
+    problem = _toy_problem(n=1, d=d)
+    plan = small_plan(n=1, d=d, K=2, T=_block(1, d) + extra, R=3, eta=5e-3, D=5e-2,
+                      eps_prime=5e-3, oracle_type=oracle_type)
+    ref = []
+    run_reference(plan, problem, observer=lambda k, t, w, y, dh: ref.append((w, y, dh)))
+    for driver in (run_docs, run_baseline_full_participation):
+        seen = _observe(driver, plan, problem, single_client())
+        assert len(seen) == len(ref) == plan.steps_total
+        for got, want in zip(seen, ref):
+            for a, b in zip(got, want):
+                assert np.array_equal(a[0], b)
+
+
+@pytest.mark.parametrize("extra", (-1, 0, 1))
+@pytest.mark.parametrize("oracle_type", ORACLE_TYPES)
+def test_block_boundaries_match_the_baseline_layout(oracle_type, extra):
+    n, d = 4, 128
+    problem = make_svm(np.random.default_rng(8), n=n, d=d)
+    matrix = build_ring(n, 1)
+    plan = small_plan(n=n, d=d, K=2, T=_block(n, d) + extra, D=3e-3,
+                      oracle_type=oracle_type)
+    seen = _observe(run_baseline_full_participation, plan, problem, matrix)
+    ref, _ = _baseline_by_layout(plan, problem, matrix)
+    assert len(seen) == len(ref) == plan.steps_total
+    for got, want in zip(seen, ref):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("extra", (-1, 0, 1))
+@pytest.mark.parametrize("oracle_type", ORACLE_TYPES)
+def test_block_draws_equal_one_scalar_draw_per_step(monkeypatch, oracle_type, extra):
+    """The client-sampled driver's active clients and sample indices are
+    what one scalar integers call per step on the epoch's client and xi
+    streams gives; its sphere directions are one sphere(rng, 1, d) per step,
+    its ball directions one ball block per block of steps."""
+    n, d = 4, 512
+    problem = _toy_problem(n=n, d=d)
+    block = _block(1, d)
+    plan = small_plan(n=n, d=d, K=2, T=block + extra, oracle_type=oracle_type)
+    queries = []
+    name = f"{oracle_type}_order_estimator"
+    estimator = getattr(core, name)
+
+    def recording(problem, i, j, w, mu, z):
+        queries.append((i, j, z.copy()))
+        return estimator(problem, i, j, w, mu, z)
+
+    monkeypatch.setattr(core, name, recording)
+    active = []
+    run_docs(plan, problem, build_ring(n, 1), step_observer=lambda s: active.append(s.active_client))
+
+    want = []
+    for k in range(1, plan.K + 1):
+        rng_client, rng_xi, rng_z = (stream(plan.seed, p, k) for p in ("client", "xi", "z"))
+        for t in range(plan.T):
+            i = int(rng_client.integers(n))
+            j = int(rng_xi.integers(problem.shard_size(i)))
+            if oracle_type == "zeroth":
+                z = sphere(rng_z, 1, d)[0]
+            else:
+                if t % block == 0:
+                    Z = ball(rng_z, min(block, plan.T - t), d)
+                z = Z[t % block]
+            want.append((i, j, z))
+    assert active == [i for i, _, _ in want]
+    assert len(queries) == len(want) == plan.steps_total
+    for (i, j, z), (i_want, j_want, z_want) in zip(queries, want):
+        assert (i, j) == (i_want, j_want)
+        assert np.array_equal(z, z_want)
+
+
+@pytest.mark.parametrize("q,d", [(1, 123), (16, 123), (1, 5), (3, 1000)])
+def test_a_sphere_block_equals_one_sphere_draw_per_step(q, d):
+    """sphere(rng, L q, d) is L successive sphere(rng, q, d) draws bit for
+    bit, which is why blocking the draws moves no zeroth-order trace."""
+    steps = _block(q, d)
+    for seed in range(5):
+        rng = stream(seed, "z", 1)
+        each = np.concatenate([sphere(rng, q, d) for _ in range(steps)])
+        assert np.array_equal(sphere(stream(seed, "z", 1), steps * q, d), each)
 
 
 def test_run_outputs_and_snapshots_compare_by_identity():
@@ -528,7 +637,7 @@ def test_svm_run_improves_objective_and_stationarity(synthetic_libsvm_path):
     # smoothed-gradient norm at the selected output beats the starting point
     from gossipopt.metrics import GoldsteinProbeConfig, MetricsSink, goldstein_norm_estimate
     from gossipopt.oracles import CappedHingeSvmProblem, load_libsvm, shard
-    from gossipopt.rng import stream
+    from gossipopt.rng import ball, sphere, stream
 
     data = load_libsvm(synthetic_libsvm_path, 123)
     problem = CappedHingeSvmProblem.from_shards(data, shard(data, 16, 1), 123, alpha=2.0)

@@ -1,6 +1,9 @@
 """The per-step norms, means and maxima are the ufunc reductions that
 np.linalg.norm and ndarray.mean/max run underneath; each must return
-exactly what those calls return, so traces do not move by a single bit."""
+exactly what those calls return, so traces do not move by a single bit.
+The one value read in closed form instead, the mixed update norm of the
+client-sampled step's check, is held to a relative 1e-13; it reaches no
+trace."""
 
 import numpy as np
 import pytest
@@ -102,7 +105,8 @@ def test_ball_matches_former_probe_sampler_bitwise(d):
 def test_step_checks_observe_the_linalg_values(monkeypatch):
     """Every value the client-sampled step checks, recorded as the check
     sees it, equals its np.linalg reference computed from the step's own
-    snapshot."""
+    snapshot: exactly, but for the mixed update norm, which agrees to a
+    relative 1e-13."""
     n, d = 8, 12
     problem = PiecewiseProblem.generate(n=n, d=d, samples_per_client=3, seed=5)
     matrix = build_ring(n, 1)
@@ -127,7 +131,15 @@ def test_step_checks_observe_the_linalg_values(monkeypatch):
             ("mixed update norm", float(np.linalg.norm(s.delta_half, axis=1).max())),
             ("iterate consensus", float(ref_row_distances(s.y).max())),
         ]
-        assert seen == want
+        assert [what for what, _ in seen] == [what for what, _ in want]
+        for (what, got), (_, value) in zip(seen, want):
+            if what == "mixed update norm":
+                # read in closed form, reach[i] * |upd|, from the one
+                # nonzero pre-mix row; the stack's rows are rounded
+                # products M_R[j, i] * upd, so it agrees to rounding only
+                assert got == pytest.approx(value, rel=1e-13, abs=0.0), what
+            else:
+                assert got == value, what
         seen.clear()
         steps.append(s.t)
 
