@@ -18,8 +18,10 @@ __version__ = "0.1.0"
 # its n directions one after another before); 7: each epoch draws its
 # steps' randomness in blocks of max(1, 2^15 // (q d)) steps, so a ball
 # block takes all its normals before its radii and first-order traces move;
-# the s, client, xi and sphere draws, and so zeroth-order traces, do not.
-TRACE_FORMAT = 7
+# the s, client, xi and sphere draws, and so zeroth-order traces, do not;
+# 8: each consensus number sums the squares of the rows of K @ a, with the
+# integer K = n I - 1 1^T, and divides by n only on the final scalars.
+TRACE_FORMAT = 8
 
 
 def active_backend() -> str:

@@ -101,18 +101,17 @@ class RunPlan:
     def __post_init__(self) -> None:
         if self.oracle_type not in ORACLE_TYPES:
             raise PlanError(f"oracle_type must be one of {ORACLE_TYPES}, got {self.oracle_type!r}")
-        if self.delta <= 0 or self.epsilon <= 0:
-            raise PlanError("delta and epsilon must be > 0")
-        if self.delta_prime < 0:
-            raise PlanError("delta_prime must be >= 0")
-        if self.oracle_type == "zeroth" and self.delta_prime <= 0:
+        for name in ("delta", "epsilon", "eta", "D"):
+            if not getattr(self, name) > 0:  # written so that NaN fails
+                raise PlanError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.delta_prime >= 0:
+            raise PlanError(f"delta_prime must be >= 0, got {self.delta_prime}")
+        if self.oracle_type == "zeroth" and not self.delta_prime > 0:
             raise PlanError("zeroth-order oracle requires delta_prime > 0")
         if self.K < 1 or self.T < 1:
             raise PlanError("K and T must be >= 1")
         if self.R < 1:
             raise PlanError("R must be >= 1")
-        if self.eta <= 0 or self.D <= 0:
-            raise PlanError("eta and D must be > 0")
         if not 0 < self.eps_prime < self.D:
             raise PlanError(
                 f"eps_prime must satisfy 0 < eps_prime < D, got "
@@ -170,8 +169,9 @@ def plan_parameters(
     theory settings; each one left None is planned as above, from the
     given values where it depends on them (D from an overridden T, say).
     """
-    if min(delta, epsilon, L, G) <= 0:
-        raise PlanError("delta, epsilon, L, G must all be > 0")
+    for name, value in dict(delta=delta, epsilon=epsilon, L=L, G=G, eta=eta, D=D).items():
+        if value is not None and not value > 0:  # written so that NaN fails
+            raise PlanError(f"{name} must be > 0, got {value}")
     if not 0 < gamma <= 1:
         raise PlanError(f"gamma must be in (0, 1], got {gamma}")
     if n < 1 or d < 1:

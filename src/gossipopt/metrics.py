@@ -12,6 +12,7 @@ solve is attempted.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, fields
@@ -113,28 +114,35 @@ class MetricsSink:
             pass
 
 
-# The per-step reductions below are the ufunc reductions that
-# np.linalg.norm(a, axis=1), a.mean(axis=0) and ndarray.max run underneath,
-# without their Python wrappers, so every result is bit-for-bit what those
-# calls return; max(sqrt(s)) == sqrt(max(s)) since sqrt is monotone and
-# correctly rounded.
+# Every consensus number, of the step checks and of trace rows, is bit for bit
+# one formula within a TRACE_FORMAT: row j of K @ a, with the integer K =
+# n I - 1 1^T, is n (a_j - mean), exactly 0 for equal rows of small integers;
+# one vecdot sums its squares, and the final scalars are divided by n. It is
+# np.linalg's value to 64 n eps max_j |a_j|, but overflows at n times smaller rows.
+
+
+@functools.cache
+def _centring(n: int) -> np.ndarray:
+    k = n * np.eye(n) - 1.0  # K, read-only since every caller shares it
+    k.setflags(write=False)
+    return k
 
 
 def _row_sq_distances(a: np.ndarray) -> np.ndarray:
-    """Squared distance of each row of the (n, d) stack a to the row mean."""
-    c = a - np.add.reduce(a, axis=0) / a.shape[0]
-    return np.add.reduce(c * c, axis=1)
+    """n^2 times each row's squared distance to the mean of the (n, d) stack a."""
+    c = _centring(a.shape[0]).dot(a)  # K @ a, with less dispatch than @
+    return np.vecdot(c, c)
 
 
 def _max_row_distance(a: np.ndarray) -> float:
-    """Largest distance of a row of the (n, d) stack a to the row mean."""
-    return math.sqrt(np.maximum.reduce(_row_sq_distances(a)))
+    """Largest row distance to the mean of the (n, d) stack a (sqrt is monotone)."""
+    return math.sqrt(np.maximum.reduce(_row_sq_distances(a))) / a.shape[0]
 
 
 def consensus_errors(x: np.ndarray, delta_half: np.ndarray) -> tuple[float, float]:
     """(mean client distance of x to its mean, max client distance of the
     mixed updates to their mean)."""
-    mean_x = float(np.add.reduce(np.sqrt(_row_sq_distances(x))) / x.shape[0])
+    mean_x = float(np.add.reduce(np.sqrt(_row_sq_distances(x)))) / x.shape[0] ** 2
     return mean_x, _max_row_distance(delta_half)
 
 
@@ -156,7 +164,7 @@ class GoldsteinProbeConfig:
     probe_point_policy: str = "all_clients"
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
+        if not self.radius > 0:  # written so that NaN fails
             raise ValueError(f"radius must be > 0, got {self.radius}")
         if self.num_smoothing_samples < 1:
             raise ValueError(

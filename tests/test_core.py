@@ -159,6 +159,16 @@ def test_planner_input_validation():
         plan_parameters(0.5, 0.5, 4, 3, 0.5, 1.0, 1.0, "second")
     with pytest.raises(PlanError):
         plan_parameters(0.5, 0.5, 4, 3, 0.5, 1.0, 1.0, "first", D=0.01, eps_prime=0.02)
+    nan = float("nan")
+    # NaN fails every range check and is named, not turned into a plan
+    for name, args, kw in (
+        ("epsilon", (0.5, nan), {}),
+        ("delta", (nan, 0.5), {}),
+        ("eta", (0.5, 0.5), {"eta": nan}),
+        ("D", (0.5, 0.5), {"D": nan}),
+    ):
+        with pytest.raises(PlanError, match=f"^{name} must be > 0, got nan"):
+            plan_parameters(*args, 4, 3, 0.5, 1.0, 1.0, "first", **kw)
 
 
 def test_run_plan_invariants():
@@ -170,6 +180,9 @@ def test_run_plan_invariants():
         small_plan(eta=-1.0)
     with pytest.raises(PlanError):
         small_plan(oracle_type="zeroth", delta_prime=0.0)
+    for name in ("delta", "epsilon", "eta", "D", "delta_prime"):
+        with pytest.raises(PlanError, match=f"^{name} must be >=? 0, got nan"):
+            small_plan(**{name: float("nan")})
 
 
 # -- drivers -------------------------------------------------------------------

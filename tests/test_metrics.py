@@ -5,6 +5,7 @@ from gossipopt.metrics import (
     GoldsteinProbeConfig,
     MetricsRecord,
     MetricsSink,
+    _max_row_distance,
     consensus_errors,
     goldstein_norm_estimate,
     goldstein_probe,
@@ -105,6 +106,8 @@ def test_probe_policies():
 def test_probe_config_validation():
     with pytest.raises(ValueError):
         GoldsteinProbeConfig(radius=0.0)
+    with pytest.raises(ValueError, match="radius must be > 0, got nan"):
+        GoldsteinProbeConfig(radius=float("nan"))
     with pytest.raises(ValueError):
         GoldsteinProbeConfig(radius=0.1, num_smoothing_samples=0)
     with pytest.raises(ValueError):
@@ -119,6 +122,16 @@ def test_consensus_errors_formulas():
     cx, cd = consensus_errors(two, two)
     assert cx == pytest.approx(5.0, abs=1e-12)
     assert cd == pytest.approx(5.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 16))
+def test_equal_rows_of_small_integers_give_exact_zeros(n):
+    # the centring weights are integers, so every partial sum is exact
+    rng = np.random.default_rng(n)
+    for d in (1, 7, 123):
+        rows = np.tile(rng.integers(-1000, 1000, size=d).astype(float), (n, 1))
+        assert consensus_errors(rows, rows) == (0.0, 0.0)
+        assert _max_row_distance(rows) == 0.0
 
 
 def test_consensus_errors_match_scalar_reimplementation(rng):

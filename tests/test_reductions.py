@@ -1,9 +1,13 @@
-"""The per-step norms, means and maxima are the ufunc reductions that
-np.linalg.norm and ndarray.mean/max run underneath; each must return
-exactly what those calls return, so traces do not move by a single bit.
-The one value read in closed form instead, the mixed update norm of the
-client-sampled step's check, is held to a relative 1e-13; it reaches no
-trace."""
+"""The per-step norms, means and maxima. The consensus numbers follow one
+documented formula: K = n I - 1 1^T, the row sums of squares of K @ a,
+and the division by n on the final scalars; within one TRACE_FORMAT each
+must equal that formula, written here in plain numpy, bit for bit, so
+traces repeat bit for bit within a format. They agree with the np.linalg form,
+norm(a - a.mean(axis=0), axis=1), to 64 n eps of the largest row norm, and
+overflow at rows n times smaller than it does. The clipped update and the
+direction draws still return exactly what np.linalg gives. The one value
+read in closed form, the mixed update norm of the client-sampled step's
+check, is held to a relative 1e-13; it reaches no trace."""
 
 import numpy as np
 import pytest
@@ -23,8 +27,31 @@ def ref_row_distances(a):
     return np.linalg.norm(a - a.mean(axis=0, keepdims=True), axis=1)
 
 
-def ref_consensus_errors(x, delta_half):
+def ref_linalg_consensus_errors(x, delta_half):
     return float(ref_row_distances(x).mean()), float(ref_row_distances(delta_half).max())
+
+
+def ref_centred_sq_norms(a):
+    """Row sums of squares of K @ a, K = n I - 1 1^T: n^2 times the squared
+    row distances to the mean."""
+    n = a.shape[0]
+    c = (n * np.eye(n) - np.ones((n, n))) @ a
+    return np.array([row.dot(row) for row in c])
+
+
+def ref_max_row_distance(a):
+    return float(np.sqrt(ref_centred_sq_norms(a)).max()) / a.shape[0]
+
+
+def ref_consensus_errors(x, delta_half):
+    n = x.shape[0]
+    return float(np.sqrt(ref_centred_sq_norms(x)).sum()) / (n * n), ref_max_row_distance(delta_half)
+
+
+def linalg_bound(a):
+    """How far the formula may stray from the np.linalg form on the stack a."""
+    n = a.shape[0]
+    return 64 * n * np.finfo(float).eps * float(np.linalg.norm(a, axis=1).max())
 
 
 def ref_inner_update(delta_half, g, eta, D, n):
@@ -58,12 +85,39 @@ def same(a, b):
 
 @pytest.mark.parametrize("n,d", SHAPES)
 def test_consensus_reductions_match_linalg_bitwise(n, d):
+    """Bit for bit the documented formula, on every kind and shape, the
+    overflowing ones included."""
     for seed, kind in enumerate(KINDS):
         x = stack(kind, n, d, seed)
         delta_half = stack(kind, n, d, seed + 100)
         assert same(consensus_errors(x, delta_half), ref_consensus_errors(x, delta_half)), kind
         for a in (x, delta_half):
-            assert same(_max_row_distance(a), float(ref_row_distances(a).max())), kind
+            assert same(_max_row_distance(a), ref_max_row_distance(a)), kind
+
+
+@pytest.mark.parametrize("n,d", SHAPES)
+def test_consensus_reductions_agree_with_linalg(n, d):
+    for seed, kind in enumerate(KINDS[:3]):  # the huge kinds overflow
+        x = stack(kind, n, d, seed)
+        delta_half = stack(kind, n, d, seed + 100)
+        got = consensus_errors(x, delta_half)
+        want = ref_linalg_consensus_errors(x, delta_half)
+        assert abs(got[0] - want[0]) <= linalg_bound(x), kind
+        assert abs(got[1] - want[1]) <= linalg_bound(delta_half), kind
+
+
+@pytest.mark.parametrize("n", (2, 16))
+def test_consensus_overflow_threshold_is_n_times_lower(n):
+    """The formula squares n (a_j - mean), so a row at distance r from the
+    mean overflows once n r passes sqrt(max float); np.linalg's form
+    overflows only once r does."""
+    root = np.sqrt(np.finfo(float).max)
+    a = np.zeros((n, 1))
+    for r, overflows in ((0.7 * root, True), (0.7 * root / n, False)):
+        a[0], a[1] = r, -r  # mean 0, so rows 0 and 1 lie r from it
+        assert np.isfinite(ref_row_distances(a).max())
+        got = _max_row_distance(a)
+        assert got == np.inf if overflows else got == pytest.approx(r, rel=1e-15)
 
 
 @pytest.mark.parametrize("n,d", SHAPES)
@@ -104,9 +158,13 @@ def test_ball_matches_former_probe_sampler_bitwise(d):
 
 def test_step_checks_observe_the_linalg_values(monkeypatch):
     """Every value the client-sampled step checks, recorded as the check
-    sees it, equals its np.linalg reference computed from the step's own
-    snapshot: exactly, but for the mixed update norm, which agrees to a
-    relative 1e-13."""
+    sees it, equals its reference computed from the step's own snapshot:
+    the clipped update norm np.linalg's exactly, the two consensus values
+    the documented formula's exactly, and the mixed update norm np.linalg's
+    to a relative 1e-13. At the planner's R the mixed-update consensus
+    error is itself roundoff, about 7e-20, where the formula and np.linalg
+    part in the second digit; the test below compares them where the
+    errors carry signal."""
     n, d = 8, 12
     problem = PiecewiseProblem.generate(n=n, d=d, samples_per_client=3, seed=5)
     matrix = build_ring(n, 1)
@@ -127,9 +185,9 @@ def test_step_checks_observe_the_linalg_values(monkeypatch):
     def observer(s):
         want = [
             ("clipped update norm", float(np.linalg.norm(s.delta_pre_mix[s.active_client]))),
-            ("mixed-update consensus", float(ref_row_distances(s.delta_half).max())),
+            ("mixed-update consensus", ref_max_row_distance(s.delta_half)),
             ("mixed update norm", float(np.linalg.norm(s.delta_half, axis=1).max())),
-            ("iterate consensus", float(ref_row_distances(s.y).max())),
+            ("iterate consensus", ref_max_row_distance(s.y)),
         ]
         assert [what for what, _ in seen] == [what for what, _ in want]
         for (what, got), (_, value) in zip(seen, want):
@@ -146,3 +204,31 @@ def test_step_checks_observe_the_linalg_values(monkeypatch):
     steps = []
     run_docs(plan, problem, matrix, step_observer=observer)
     assert len(steps) == plan.K * plan.T
+
+
+@pytest.mark.parametrize("n,d", [(8, 5), (16, 123)])
+def test_consensus_values_above_roundoff_agree_with_linalg(n, d):
+    """At R = 2 the mixed updates and iterates are far from consensus, so
+    the values the checks and trace rows read carry signal; each agrees
+    with np.linalg within 64 n eps of the largest row norm."""
+    problem = PiecewiseProblem.generate(n=n, d=d, samples_per_client=3, seed=n)
+    matrix = build_ring(n, 1)
+    plan = plan_parameters(
+        0.4, 0.9, n, d, matrix.gamma, problem.lipschitz, problem.lipschitz,
+        "first", seed=1, K=2, T=20, R=2,
+    )
+    signal = []
+
+    def observer(s):
+        got = consensus_errors(s.x, s.delta_half)
+        want = ref_linalg_consensus_errors(s.x, s.delta_half)
+        assert abs(got[0] - want[0]) <= linalg_bound(s.x)
+        assert abs(got[1] - want[1]) <= linalg_bound(s.delta_half)
+        y_dist = float(ref_row_distances(s.y).max())
+        assert abs(_max_row_distance(s.y) - y_dist) <= linalg_bound(s.y)
+        signal.append((s.k, min(*want, y_dist)))
+
+    run_docs(plan, problem, matrix, step_observer=observer)
+    assert len(signal) == plan.K * plan.T
+    # x and y start at consensus; by the second epoch no value is roundoff
+    assert min(value for k, value in signal if k == 2) > 1e-5
