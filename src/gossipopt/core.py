@@ -172,6 +172,11 @@ def plan_parameters(
     for name, value in dict(delta=delta, epsilon=epsilon, L=L, G=G, eta=eta, D=D).items():
         if value is not None and not value > 0:  # written so that NaN fails
             raise PlanError(f"{name} must be > 0, got {value}")
+    if not c0 > 0:  # written so that NaN fails, here and below
+        raise PlanError(f"c0 must be > 0, got {c0}", key="c0")
+    for name, value in dict(sigma=sigma, nu=nu).items():
+        if value is not None and not value >= 0:
+            raise PlanError(f"{name} must be >= 0, got {value}", key=name)
     if not 0 < gamma <= 1:
         raise PlanError(f"gamma must be in (0, 1], got {gamma}")
     if n < 1 or d < 1:
@@ -327,14 +332,20 @@ def run_docs(
 
     y_bound = plan.y_consensus_bound()
     reach = gossip_cfg.reach
+    iterate_bound = _iterate_bound(gossip_cfg, plan.d)
 
-    def check_consensus(k, t, i, x, y, delta_half):
-        _, max_delta_err = consensus_errors(x, delta_half)
+    def check_consensus(k, t, i, x, y, delta_half, y_sq):
+        mean_x, max_delta_err = consensus_errors(x, delta_half)
         _require("mixed-update consensus", max_delta_err, plan.eps_prime, k, t)
         # the pre-mix stack is the one row upd at client i, so mixed row j
         # is M_R[j, i] * upd and the largest row norm is reach[i] * |upd|
         _require("mixed update norm", reach[i] * upd_norm, plan.D + plan.eps_prime, k, t)
-        _require("iterate consensus", _max_row_distance(y), y_bound, k, t)
+        # the exact value is needed only when its bound fails (NaN included);
+        # a passing bound means the exact value would have passed too
+        iterate = iterate_bound(mean_x, x, y_sq)
+        if not iterate <= y_bound:
+            iterate = _max_row_distance(y)
+        _require("iterate consensus", iterate, y_bound, k, t)
 
     check = check_consensus if plan.consensus_guaranteed else None
     return _epoch_loop(plan, problem, step, True, 2 * plan.R, check, sink, metrics_every,
@@ -388,6 +399,62 @@ def _estimator(plan: RunPlan):
     if plan.oracle_type == "first":
         return first_order_estimator, 0
     return zeroth_order_estimator, 2
+
+
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): a sum of k terms or a dot product
+    of length k, in any order and with or without FMA, is off by at most
+    gamma_k times the same sum taken over the terms' magnitudes."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _iterate_bound(cfg: GossipConfig, d: int) -> Callable[[float, np.ndarray, float], float]:
+    """B(m_x, x, y_sq) >= _max_row_distance(y) for y = fast_gossip(cfg, x)
+    of an (n, d) stack x, from m_x = consensus_errors(x, .)[0] and the
+    computed y_sq = y . y, at the cost of one dot product.
+
+    With M = cfg.operator, (c, r, A) = (cfg.spread, cfg.sum_spread,
+    cfg.inf_norm), X = |x|_F, Y = |y|_F and u = 2^-53,
+      B = (c (n m_x + e_x) + r X / sqrt(n) + 2 gamma_n A X
+           + (2 gamma_n + 3 gamma_{d+2}) Y + 2^-400) (1 + 4 (n d + 40) u),
+      e_x = 2 n gamma_{n+d+2} m_x + 2 n gamma_n X.
+    - Mixing. The computed y is M x + E with |E| <= gamma_n |M| |x|
+      entrywise, so |E_j| <= gamma_n A X. Row j of y - ybar is
+      sum_k (M[j, k] - mean_j M[j, k]) (x_k - xbar)
+      + (row sum_j - mean row sum) xbar + E_j - Ebar,
+      and |xbar| <= X / sqrt(n), so every row distance of y is at most
+      c S + r X / sqrt(n) + 2 gamma_n A X, with S = sum_k |x_k - xbar|.
+    - S from m_x. Row k of the computed K x (metrics._row_sq_distances)
+      is off by at most 2 n gamma_n X in norm. Its squared norm, square
+      root, the sum over k and the division by n^2 lose at most a factor
+      1 - gamma_{n+d+1}. So S <= n m_x + e_x.
+    - Today's value. _max_row_distance(y) reads that distance with at most
+      (2 gamma_n + 3 gamma_{d+2}) Y added by its own rounding.
+    - Underflow. The bounds above are relative and ignore it. What it
+      loses is absolute: about 2^-537 times a polynomial in n and d, far
+      below 2^-400 for any stack that fits in memory.
+    - Rounding of B. Every quantity in B is nonnegative. X and Y come from
+      dot products of n d terms, and the coefficients and their sum take
+      a few dozen more roundings. So the computed B is at least the exact
+      formula times 1 - gamma_{n d + 40}, which the last factor more than
+      undoes.
+    """
+    n = cfg.matrix.n
+    c, r, a = cfg.spread, cfg.sum_spread, cfg.inf_norm
+    up = 1.0 + 4 * (n * d + 40) * _U
+    a_m = up * c * n * (1.0 + 2.0 * _gamma(n + d + 2))
+    a_x = up * (2.0 * c * n * _gamma(n) + r / math.sqrt(n) + 2.0 * _gamma(n) * a)
+    a_y = up * (2.0 * _gamma(n) + 3.0 * _gamma(d + 2))
+    a_0 = up * 2.0**-400
+
+    def bound(mean_x: float, x: np.ndarray, y_sq: float) -> float:
+        flat = x.ravel()
+        return a_m * mean_x + a_x * math.sqrt(flat.dot(flat)) + a_y * math.sqrt(y_sq) + a_0
+
+    return bound
 
 
 def _require(what: str, observed: float, bound: float, k: int, t: int,
@@ -457,8 +524,8 @@ def _epoch_loop(
     client queries), sample indices j and directions z, calls the estimator
     once per query, counts each call in counters and mixes both stacks; it
     returns (x, mixed y, pre-mix update stack, mixed update stack).
-    ``check(k, t, i, x, y, delta_half)``, when given, runs after the
-    divergence check.
+    ``check(k, t, i, x, y, delta_half, y_sq)``, when given, runs after the
+    divergence check; y_sq is the computed y . y.
     """
     n, d, seed = plan.n, plan.d, plan.seed
     sizes = np.array([problem.shard_size(i) for i in range(n)])
@@ -490,11 +557,16 @@ def _epoch_loop(
             counters.computation_rounds += 1
             counters.communication_rounds += comm_per_step
 
-            if not (np.isfinite(y).all() and np.isfinite(delta_half).all()):
+            # a sum of squares is finite only if every entry is; it can also
+            # overflow with every entry finite, so only the scan decides
+            y_flat, half_flat = y.ravel(), delta_half.ravel()
+            y_sq = y_flat.dot(y_flat)
+            if not math.isfinite(y_sq + half_flat.dot(half_flat)):
                 bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(delta_half).all(axis=1))
-                raise DivergenceError(k, t, int(np.argmax(bad)))
+                if bad.any():
+                    raise DivergenceError(k, t, int(np.argmax(bad)))
             if check is not None:
-                check(k, t, active, x, y, delta_half)
+                check(k, t, active, x, y, delta_half, y_sq)
 
             if summing:
                 np.add(w_sum, w, out=w_sum, where=picked)

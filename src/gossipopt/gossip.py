@@ -45,12 +45,21 @@ class GossipConfig:
     the read-only vector of column maxima max_j |M_R[j, i]|: mixing a stack
     whose one nonzero row v sits at client i gives rows M_R[j, i] * v, the
     largest of norm reach[i] * |v|.
+
+    Three scalars bound how far mixing can spread a stack (see
+    core._iterate_bound); each is exact for the stored M_R, rounded up:
+    ``spread`` = max_{j,k} |M_R[j, k] - mean_j M_R[j, k]|, ``sum_spread`` =
+    max_j |row sum_j - mean row sum| and ``inf_norm`` = max_j sum_k
+    |M_R[j, k]|.
     """
 
     matrix: MixingMatrix
     rounds: int
     operator: np.ndarray = field(init=False, repr=False)
     reach: np.ndarray = field(init=False, repr=False)
+    spread: float = field(init=False, repr=False)
+    sum_spread: float = field(init=False, repr=False)
+    inf_norm: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rounds < 0:
@@ -64,6 +73,30 @@ class GossipConfig:
         for name, value in (("operator", cur), ("reach", reach)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        for name, value in zip(("spread", "sum_spread", "inf_norm"), _exact_spreads(cur)):
+            object.__setattr__(self, name, value)
+
+
+def _exact_spreads(m: np.ndarray) -> tuple[float, float, float]:
+    """GossipConfig's spread, sum_spread and inf_norm of the (n, n) matrix m.
+
+    Every finite double is an integer multiple of 2^-1074, so in units of
+    2^-1074 the entries are Python integers and each sum, difference and
+    maximum below is exact; only the final int / int division rounds
+    (correctly), and nextafter moves it up past the exact value.
+    """
+    n = m.shape[0]
+    rows = [[p << 1074 >> (q.bit_length() - 1) for p, q in map(float.as_integer_ratio, row)]
+            for row in m.tolist()]
+    col_sums = [sum(col) for col in zip(*rows)]
+    row_sums = [sum(row) for row in rows]
+    total = sum(row_sums)
+    # n times each deviation from a mean, to stay in integers
+    spread = max(abs(n * v - s) for row in rows for v, s in zip(row, col_sums))
+    sum_spread = max(abs(n * s - total) for s in row_sums)
+    inf_norm = max(sum(map(abs, row)) for row in rows)
+    return tuple(math.nextafter(v / (scale << 1074), math.inf)
+                 for v, scale in ((spread, n), (sum_spread, n), (inf_norm, 1)))
 
 
 def _check_stack(n: int, z: np.ndarray) -> np.ndarray:
@@ -106,7 +139,7 @@ def plan_rounds(gamma: float, n: int, diameter: float, tolerance: float) -> int:
         raise GossipError(f"gamma must be in (0, 1], got {gamma}")
     if n < 2:
         raise GossipError(f"n must be >= 2, got {n}")
-    if diameter <= 0.0:
+    if not diameter > 0.0:  # written so that NaN fails
         raise GossipError(f"diameter must be > 0, got {diameter}")
     if not 0.0 < tolerance < diameter:
         raise GossipError(

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from gossipopt.core import (
     BLOCK_DOUBLES,
     ORACLE_TYPES,
     DivergenceError,
+    InvariantViolation,
     PlanError,
     RunPlan,
     inner_update,
@@ -20,9 +22,11 @@ from gossipopt.core import (
     run_baseline_full_participation,
     run_docs,
 )
+from gossipopt.gossip import GossipConfig, fast_gossip
+from gossipopt.metrics import _max_row_distance, consensus_errors
 from gossipopt.oracles import PiecewiseProblem
 from gossipopt.rng import ball, sphere, stream
-from gossipopt.topology import build_ring, single_client
+from gossipopt.topology import build_complete, build_ring, from_weights, single_client
 from single_machine_reference import run_reference
 from test_oracles import make_svm
 
@@ -169,6 +173,18 @@ def test_planner_input_validation():
     ):
         with pytest.raises(PlanError, match=f"^{name} must be > 0, got nan"):
             plan_parameters(*args, 4, 3, 0.5, 1.0, 1.0, "first", **kw)
+    # the planner's own constants: each bad value is named by its key
+    for name, value, rule in (
+        ("c0", nan, "> 0"), ("c0", -1.0, "> 0"), ("c0", 0.0, "> 0"),
+        ("sigma", nan, ">= 0"), ("sigma", -1.0, ">= 0"),
+        ("nu", nan, ">= 0"), ("nu", -1.0, ">= 0"),
+    ):
+        with pytest.raises(PlanError, match=f"^{name} must be {rule}, got {value}") as info:
+            plan_parameters(0.5, 0.5, 4, 3, 0.5, 1.0, 1.0, "first", **{name: value})
+        assert info.value.key == name
+    # the bounds themselves are plans
+    for kw in ({"sigma": 0.0}, {"nu": 0.0}, {"c0": 1e-3}):
+        plan_parameters(0.5, 0.5, 4, 3, 0.5, 1.0, 1.0, "first", **kw)
 
 
 def test_run_plan_invariants():
@@ -528,7 +544,7 @@ def test_clip_and_mean_relation_invariants():
     assert checked == plan.K * plan.T
 
 
-def test_consensus_bounds_hold_with_planned_rounds():
+def _guaranteed_piecewise_run():
     n, d = 8, 12
     problem = _toy_problem(n=n, d=d)
     matrix = build_ring(n, 1)
@@ -537,6 +553,11 @@ def test_consensus_bounds_hold_with_planned_rounds():
         "first", seed=3, K=2, T=30,
     )
     assert plan.consensus_guaranteed
+    return plan, problem, matrix
+
+
+def test_consensus_bounds_hold_with_planned_rounds():
+    plan, problem, matrix = _guaranteed_piecewise_run()
     bound = plan.y_consensus_bound()
 
     def observer(s):
@@ -548,6 +569,99 @@ def test_consensus_bounds_hold_with_planned_rounds():
         assert y_dev <= bound
 
     run_docs(plan, problem, matrix, step_observer=observer)
+
+
+def _operators(n):
+    if n == 1:
+        return [single_client()]
+    if n == 2:
+        return [build_complete(2), from_weights(np.array([[0.7, 0.3], [0.3, 0.7]]))]
+    return [build_ring(n, 1), build_complete(n)]
+
+
+def _exact_sq_spread(y):
+    """max_j |y_j - mean|^2 of the float stack y, in exact rationals."""
+    rows = [[Fraction(v) for v in row] for row in y.tolist()]
+    mean = [sum(col) / len(rows) for col in zip(*rows)]
+    return max(sum((v - m) ** 2 for v, m in zip(row, mean)) for row in rows)
+
+
+@pytest.mark.parametrize("n,d", [(1, 7), (2, 7), (8, 7), (16, 7), (16, 123)])
+def test_iterate_bound_is_never_below_the_exact_check(n, d):
+    """B, the scalar the iterate check reads first, bounds both the value
+    the exact check computes and the exact spread of the computed y, for
+    stacks near consensus, far from it, offset by 1e6 times their spread
+    and small enough that their squares underflow, at R = 0, 1, 2, 5 and
+    the planner's R."""
+    rng = np.random.default_rng(100 * n + d)
+    for matrix in _operators(n):
+        planned = plan_parameters(0.5, 0.5, n, d, matrix.gamma, 1.0, 1.0, "first").R
+        for rounds in (0, 1, 2, 5, planned):
+            cfg = GossipConfig(matrix, rounds)
+            bound = core._iterate_bound(cfg, d)
+            for kind in ("near", "far", "offset", "tiny"):
+                noise = rng.standard_normal((n, d))
+                x = {
+                    "near": rng.standard_normal(d) + 1e-9 * noise,
+                    "far": noise,
+                    "offset": 1e6 + noise,
+                    "tiny": 1e-160 * noise,
+                }[kind]
+                y = fast_gossip(cfg, x)
+                flat = y.ravel()
+                b = bound(consensus_errors(x, x)[0], x, flat.dot(flat))
+                case = (matrix.n, rounds, kind)
+                assert _max_row_distance(y) <= b, case
+                if d < 100:
+                    assert _exact_sq_spread(y) <= Fraction(b) ** 2, case
+
+
+def test_failing_iterate_bound_falls_back_to_the_exact_check(monkeypatch):
+    plan, problem, matrix = _guaranteed_piecewise_run()
+    # below every B (which is at least 2^-400), so each step needs the exact value
+    monkeypatch.setattr(RunPlan, "y_consensus_bound", lambda self: 1e-300)
+    exact_of = []
+    monkeypatch.setattr(core, "_max_row_distance", lambda a: exact_of.append(a) or 0.0)
+    steps = []
+
+    def observer(s):
+        assert len(exact_of) == 1 and exact_of.pop() is s.y
+        steps.append(s.t)
+
+    run_docs(plan, problem, matrix, step_observer=observer)
+    assert len(steps) == plan.K * plan.T
+
+
+def test_iterate_breach_raises_with_the_exact_value(monkeypatch):
+    plan, problem, matrix = _guaranteed_piecewise_run()
+    monkeypatch.setattr(RunPlan, "y_consensus_bound", lambda self: 1e-300)
+    exact = []
+    monkeypatch.setattr(
+        core, "_max_row_distance", lambda a: exact.append(_max_row_distance(a)) or exact[-1]
+    )
+    with pytest.raises(InvariantViolation, match="^iterate consensus at") as info:
+        run_docs(plan, problem, matrix)
+    assert info.value.observed == exact[-1] > 1e-300
+    assert info.value.bound == 1e-300
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_squares_with_finite_entries_do_not_diverge():
+    """With D = 1e200 and steps of about 1e153 the stacks' sums of squares
+    overflow while every entry stays finite; the run completes, as a scan
+    of the entries decides."""
+    n, d = 4, 6
+    plan = small_plan(n=n, d=d, D=1e200, eta=1e153, eps_prime=1e-3)
+    overflowed = []
+
+    def observer(s):
+        assert np.isfinite(s.y).all() and np.isfinite(s.delta_half).all()
+        y, half = s.y.ravel(), s.delta_half.ravel()
+        overflowed.append(np.isinf(y.dot(y) + half.dot(half)))
+
+    out = run_docs(plan, _toy_problem(n=n, d=d), build_ring(n, 1), step_observer=observer)
+    assert len(overflowed) == plan.K * plan.T and any(overflowed)
+    assert np.isfinite(out.w_out).all()
 
 
 def test_baseline_counts_all_clients():
@@ -593,6 +707,40 @@ def test_divergence_aborts_with_location():
         run_docs(plan, _PoisonProblem(4, 6), build_ring(4, 1))
     assert info.value.k == 1 and info.value.t == 1
     assert 0 <= info.value.client < 4
+
+
+class _PoisonAtCall(PiecewiseProblem):
+    """Returns a NaN subgradient to client 5 once the problem has been
+    queried at least three times."""
+
+    def sample_subgradient(self, client, j, x):
+        self.calls = getattr(self, "calls", 0) + 1
+        if self.calls >= 3 and client == 5:
+            self.poisoned_at = self.calls
+            return np.full(self.d, np.nan)
+        return super().sample_subgradient(client, j, x)
+
+
+def test_divergence_names_the_first_non_finite_client(monkeypatch):
+    """The error names the step and the first client whose row of y or of
+    the mixed updates is not finite, as the stacks mixed at that step show."""
+    n, d = 8, 3
+    base = _toy_problem(n=n, d=d)
+    problem = _PoisonAtCall(**{f.name: getattr(base, f.name) for f in dataclasses.fields(base)})
+    mixed = []
+
+    def recording_gossip(cfg, z):
+        mixed.append(fast_gossip(cfg, z))
+        return mixed[-1]
+
+    monkeypatch.setattr(core, "fast_gossip", recording_gossip)
+    plan = small_plan(n=n, d=d, R=1, K=1, T=200)
+    with pytest.raises(DivergenceError) as info:
+        run_docs(plan, problem, build_ring(n, 1))
+    y, delta_half = mixed[-2:]
+    bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(delta_half).all(axis=1))
+    assert (info.value.k, info.value.t) == (1, problem.poisoned_at)
+    assert info.value.client == int(np.argmax(bad))
 
 
 FORGED_GUARANTEE = """

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,6 +192,26 @@ def test_plan_rounds_monotone_in_tolerance():
         tol /= 2  # halving the tolerance never decreases the round count
 
 
+def test_spread_constants_are_exact_values_rounded_up():
+    """spread, sum_spread and inf_norm are the float after the correctly
+    rounded exact value for the stored M_R, here recomputed in rationals."""
+    for m, r in ((build_ring(8, 1), 0), (build_ring(8, 1), 3), (build_ring(16, 2), 40),
+                 (build_complete(5), 2)):
+        cfg = GossipConfig(m, r)
+        rows = [[Fraction(v) for v in row] for row in cfg.operator.tolist()]
+        n = len(rows)
+        means = [sum(col) / n for col in zip(*rows)]
+        sums = [sum(row) for row in rows]
+        want = (
+            max(abs(v - mu) for row in rows for v, mu in zip(row, means)),
+            max(abs(s - sum(sums) / n) for s in sums),
+            max(sum(map(abs, row)) for row in rows),
+        )
+        got = (cfg.spread, cfg.sum_spread, cfg.inf_norm)
+        for value, exact in zip(got, want):
+            assert value == math.nextafter(float(exact), math.inf) and exact <= Fraction(value)
+
+
 def test_plan_rounds_validates_inputs():
     with pytest.raises(GossipError):
         plan_rounds(0.0, 16, 0.01, 1e-5)
@@ -198,6 +219,8 @@ def test_plan_rounds_validates_inputs():
         plan_rounds(0.5, 1, 0.01, 1e-5)
     with pytest.raises(GossipError):
         plan_rounds(0.5, 16, -0.01, 1e-5)
+    with pytest.raises(GossipError, match="diameter must be > 0, got nan"):
+        plan_rounds(0.5, 16, float("nan"), 1e-5)
     with pytest.raises(GossipError, match="tolerance"):
         plan_rounds(0.5, 16, 0.01, 0.02)
 

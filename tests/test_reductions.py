@@ -158,13 +158,14 @@ def test_ball_matches_former_probe_sampler_bitwise(d):
 
 def test_step_checks_observe_the_linalg_values(monkeypatch):
     """Every value the client-sampled step checks, recorded as the check
-    sees it, equals its reference computed from the step's own snapshot:
-    the clipped update norm np.linalg's exactly, the two consensus values
-    the documented formula's exactly, and the mixed update norm np.linalg's
-    to a relative 1e-13. At the planner's R the mixed-update consensus
-    error is itself roundoff, about 7e-20, where the formula and np.linalg
-    part in the second digit; the test below compares them where the
-    errors carry signal."""
+    sees it, matches its reference computed from the step's own snapshot:
+    the clipped update norm is np.linalg's exactly, the mixed-update
+    consensus value the documented formula's exactly, and the mixed update
+    norm np.linalg's to a relative 1e-13. The iterate check reads the
+    scalar bound B, which lies between the formula's value and the y bound.
+    At the planner's R the mixed-update consensus error is itself roundoff,
+    about 7e-20, where the formula and np.linalg part in the second digit;
+    the test below compares them where the errors carry signal."""
     n, d = 8, 12
     problem = PiecewiseProblem.generate(n=n, d=d, samples_per_client=3, seed=5)
     matrix = build_ring(n, 1)
@@ -196,6 +197,8 @@ def test_step_checks_observe_the_linalg_values(monkeypatch):
                 # nonzero pre-mix row; the stack's rows are rounded
                 # products M_R[j, i] * upd, so it agrees to rounding only
                 assert got == pytest.approx(value, rel=1e-13, abs=0.0), what
+            elif what == "iterate consensus":
+                assert value <= got <= plan.y_consensus_bound(), what
             else:
                 assert got == value, what
         seen.clear()
