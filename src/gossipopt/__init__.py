@@ -20,8 +20,12 @@ __version__ = "0.1.0"
 # block takes all its normals before its radii and first-order traces move;
 # the s, client, xi and sphere draws, and so zeroth-order traces, do not;
 # 8: each consensus number sums the squares of the rows of K @ a, with the
-# integer K = n I - 1 1^T, and divides by n only on the final scalars.
-TRACE_FORMAT = 8
+# integer K = n I - 1 1^T, and divides by n only on the final scalars;
+# 9: the SVM probe takes row blocks half as large, the calling thread
+# summing the even ones and a worker thread the odd ones, and adds the
+# worker's sum to its own (on 0/1-valued data every hinge sum is an exact
+# integer, so those traces do not move).
+TRACE_FORMAT = 9
 
 
 def active_backend() -> str:

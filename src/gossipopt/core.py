@@ -248,6 +248,13 @@ def inner_update(delta_half: np.ndarray, g: np.ndarray, eta: float, D: float, n:
     """
     v = delta_half - eta * g
     norm = math.sqrt(v.dot(v))  # what np.linalg.norm(v) computes, bit for bit
+    if norm == math.inf:
+        # the sum of squares overflowed (|v| above about 1.34e154); a finite
+        # v still has a norm, taken after scaling by its largest entry
+        top = float(np.abs(v).max())
+        if math.isfinite(top):
+            u = v / top
+            norm = top * math.sqrt(u.dot(u))
     if norm <= D:
         return n * v
     return (n * D / norm) * v

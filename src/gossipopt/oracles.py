@@ -30,6 +30,7 @@ active branch, tied max pieces take the first piece.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, pairwise
 
@@ -366,9 +367,13 @@ def write_synthetic_libsvm(path: str, m: int, d: int, seed: int) -> None:
 
 # float64 values (about 8 MB) that the chunks of one probe kernel call hold
 _BUDGET = 1_000_000
-# float64 values (about 4 MB) that the buffers of one row block of the hinge
-# probe hold: half the budget, as they outlive the call
+# float64 values (about 4 MB) that the buffers of the hinge probe's two
+# threads hold together, each thread's row block in half of it: half the
+# budget, as they outlive the call
 _BLOCK = _BUDGET // 2
+# the one thread beside the caller that takes the hinge probe's odd row
+# blocks; the executor starts it on first use
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gossipopt-probe")
 
 
 def _cuts(total: int, most: int) -> np.ndarray:
@@ -419,8 +424,8 @@ class CappedHingeSvmProblem(_ShardedProblem):
     whose row s is b_s * a_s, so a margin b a'x is one product with it;
     negating by b = +-1 is exact, so every value equals the one computed
     from a and b. Each client owns a contiguous row block of it; labels
-    keeps the b_s. Immutable after construction, apart from the buffer the
-    probe kernel keeps across calls.
+    keeps the b_s. Immutable after construction, apart from the buffers the
+    probe kernel's two threads keep across calls.
     """
 
     d: int
@@ -432,7 +437,9 @@ class CappedHingeSvmProblem(_ShardedProblem):
     row_norms: np.ndarray = field(repr=False)  # (m,), |a_s|
     slices: list[slice] = field(repr=False)
     lipschitz: float
-    _buffer: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False)
+    # scratch of the probe kernel: [0] the calling thread's, [1] the worker's
+    _buffers: list[np.ndarray] = field(
+        default_factory=lambda: [np.empty(0), np.empty(0)], init=False, repr=False)
 
     @classmethod
     def from_shards(
@@ -528,15 +535,16 @@ class CappedHingeSvmProblem(_ShardedProblem):
         gap = self.signed[rows] @ c - 1.0
         return gap < -reach, ~(np.abs(gap) > reach)
 
-    def _scratch(self, *sizes: int) -> list[np.ndarray]:
-        """Flat float64 views of the given sizes into one buffer the problem
-        keeps across calls, grown as needed, so the probe kernel's pages are
-        faulted in once rather than on every call, whatever malloc does with
-        freed multi-MB blocks."""
+    def _scratch(self, k: int, *sizes: int) -> list[np.ndarray]:
+        """Flat float64 views of the given sizes into buffer k, which the
+        problem keeps across calls and grows as needed, so the probe
+        kernel's pages are faulted in once rather than on every call,
+        whatever malloc does with freed multi-MB blocks. Each of the
+        kernel's threads uses only its own buffer."""
         bounds = np.cumsum((0, *sizes))
-        if len(self._buffer) < bounds[-1]:
-            self._buffer = np.empty(bounds[-1])
-        return [self._buffer[lo:hi] for lo, hi in pairwise(bounds)]
+        if len(self._buffers[k]) < bounds[-1]:
+            self._buffers[k] = np.empty(bounds[-1])
+        return [self._buffers[k][lo:hi] for lo, hi in pairwise(bounds)]
 
     # Batched over the rows of the (q, d) probe points X. The hinge is active
     # at margin <= 1; the penalty subgradient is lam * sign(x_j) strictly
@@ -547,7 +555,15 @@ class CappedHingeSvmProblem(_ShardedProblem):
             return out
         self._hinge_sums(X, *self._ball(X, out), out)
         out /= -self.signed.shape[0]  # an active row contributes -b_s * a_s
-        out += self.lam * np.sign(X) * (np.abs(X) < self.alpha)
+        # lam * sign(x) * (|x| < alpha), built in the calling thread's buffer,
+        # which the hinge sums are done with: each product is exact, so the
+        # bits are those of the one expression
+        pen = self._scratch(0, X.size)[0].reshape(X.shape)
+        inside = np.abs(X, out=pen) < self.alpha
+        np.sign(X, out=pen)
+        pen *= inside
+        pen *= self.lam
+        out += pen
         return out
 
     def _hinge_sums(self, X: np.ndarray, c: np.ndarray, r: float, out: np.ndarray) -> None:
@@ -556,23 +572,44 @@ class CappedHingeSvmProblem(_ShardedProblem):
 
         The rows go in near-equal row blocks, so each block of signed is
         read from memory once per call and the rest of its work stays in
-        cache. The screen decides the rows whose hinge state is the same at
-        every point. The undecided rows are gathered, their margins at every
-        point taken and turned into the 0/1 hinge mask, and each row's count
-        of active points read off it. A row active at every point joins the
-        screened active rows, summed with one product per block; one active at
-        none drops out; only the mixed rows, with 0 < count < q, are
-        multiplied. The gathered rows, the margins and the copy of the mixed
-        columns fit _BLOCK."""
+        cache. The calling thread takes the even blocks and the worker the
+        odd ones, each into its own sum; the caller then adds the worker's
+        sum to its own, so the bits depend on neither timing nor the CPU
+        count. With one block the caller takes it alone."""
         q, (m, d) = X.shape[0], self.signed.shape
-        cuts = _cuts(m, _BLOCK // (d + 2 * q))
-        most = int(np.diff(cuts).max())
+        blocks = list(pairwise(_cuts(m, _BLOCK // 2 // (d + 2 * q))))
+        if len(blocks) == 1:
+            self._block_sums(0, X, c, r, blocks, out)
+            return
+        theirs = _WORKER.submit(self._block_sums, 1, X, c, r, blocks[1::2], np.empty_like(X))
+        try:
+            self._block_sums(0, X, c, r, blocks[::2], out)
+        finally:
+            # the worker's job ends before the call does, whatever happened
+            sums = theirs.result()
+        out += sums
+
+    def _block_sums(self, k: int, X: np.ndarray, c: np.ndarray, r: float, blocks: list,
+                    out: np.ndarray) -> np.ndarray:
+        """Write into out, and return it, the hinge sums of _hinge_sums over
+        the given row blocks only, with scratch buffer k.
+
+        The screen decides the rows whose hinge state is the same at every
+        point. The undecided rows are gathered, their margins at every point
+        taken and turned into the 0/1 hinge mask, and each row's count of
+        active points read off it. A row active at every point joins the
+        screened active rows, summed with one product per block; one active
+        at none drops out; only the mixed rows, with 0 < count < q, are
+        multiplied. The gathered rows, the margins and the copy of the mixed
+        columns fit half of _BLOCK."""
+        q, d = X.shape
+        most = max(hi - lo for lo, hi in blocks)
         gathered, margins, mixed_cols, part, base = self._scratch(
-            most * d, q * most, q * most, q * d, d)
+            k, most * d, q * most, q * most, q * d, d)
         part = part.reshape(q, d)
         out.fill(0.0)
         base.fill(0.0)
-        for lo, hi in pairwise(cuts):
+        for lo, hi in blocks:
             signed = self.signed[lo:hi]
             active, undecided = self._screen(c, r, slice(lo, hi))
             rows = np.flatnonzero(undecided)
@@ -598,6 +635,7 @@ class CappedHingeSvmProblem(_ShardedProblem):
                     out += np.matmul(cols, a, out=part)
             base += active @ signed  # the rows active at every point
         out += base
+        return out
 
 
 @dataclass(eq=False)

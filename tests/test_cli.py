@@ -427,7 +427,7 @@ def test_summary_declares_trace_format(tmp_path):
     run_experiment(parse_config(path))
     payload = json.loads((out / "summary.json").read_text())
     assert payload["version"] == gossipopt.__version__
-    assert payload["trace_format"] == gossipopt.TRACE_FORMAT == 8
+    assert payload["trace_format"] == gossipopt.TRACE_FORMAT == 9
 
 
 def test_same_seed_produces_byte_identical_trace(tmp_path):

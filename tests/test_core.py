@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -75,6 +76,23 @@ def test_inner_update_exact_cancellation():
     eta = 0.5
     delta = eta * g
     assert np.array_equal(inner_update(delta, g, eta, 0.1, 3), np.zeros(2))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_inner_update_clips_a_step_whose_square_norm_overflows():
+    # |v| = 1e160 * sqrt(6): v.dot(v) is inf, yet D v / |v| is finite
+    out = inner_update(np.full(6, 1e160), np.zeros(6), 1.0, 1.0, 3)
+    assert np.allclose(out, 3.0 / math.sqrt(6.0), rtol=4 * np.finfo(float).eps, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_docs_run_with_huge_steps_makes_nonzero_updates():
+    plan = small_plan(n=4, d=6, D=1e200, eta=1e200)
+    seen = []
+    run_docs(plan, _toy_problem(), build_ring(4, 1),
+             step_observer=lambda s: seen.append(s.delta_half.copy()))
+    assert len(seen) == plan.K * plan.T
+    assert all(np.isfinite(d).all() and d.any() for d in seen)
 
 
 def test_inner_update_clips_to_scaled_ball(rng):

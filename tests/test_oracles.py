@@ -1,7 +1,10 @@
 import io
 import itertools
 import math
+import sys
+import time
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -268,8 +271,8 @@ def test_svm_undecided_rows_over_several_blocks_match_dense_reference(rng):
     counts = hinge_counts(p, X)
     assert ((counts > 0) & (counts < q))[undecided].any()
     # the row blocks the kernel takes: at least two hold undecided rows, and
-    # the last one fills only part of the shared buffers
-    cuts = oracles._cuts(m, oracles._BLOCK // (d + 2 * q))
+    # the last one fills only part of its thread's buffers
+    cuts = oracles._cuts(m, oracles._BLOCK // 2 // (d + 2 * q))
     blocks = np.diff(cuts)
     assert np.count_nonzero(np.add.reduceat(undecided, cuts[:-1])) >= 2
     assert blocks[-1] < blocks.max()
@@ -293,12 +296,13 @@ def test_svm_probe_buffer_is_reused_across_calls(rng):
     p, edge = real_valued_svm(rng)
     X = ball_points(rng, edge, 64)
     first = p.full_subgradients(X)
-    buffer = p._buffer
-    assert buffer.size > 0
-    # a call of no more points reuses the buffer and gives the same bits
+    # the calling thread's buffer and the worker's
+    buffers = list(p._buffers)
+    assert len(buffers) == 2 and all(b.size > 0 for b in buffers)
+    # a call of no more points reuses both buffers and gives the same bits
     assert np.array_equal(p.full_subgradients(X), first)
     assert p.full_subgradients(X[:8]).shape == (8, p.d)
-    assert p._buffer is buffer
+    assert all(now is before for now, before in zip(p._buffers, buffers))
 
 
 def test_svm_tied_row_counts_as_active(rng):
@@ -342,6 +346,142 @@ def test_svm_non_finite_points_match_dense_reference(rng):
     for X in (np.vstack([edge, edge, nan]), nan[None, :]):
         assert (hinge_counts(p, X) < len(X)).all()
         assert_matches_dense_reference(p, X)
+
+
+def sequential_subgradients(p, X):
+    """full_subgradients with the even row blocks and then the odd ones
+    summed on the calling thread, each half with its own buffer, and the
+    penalty term as one expression."""
+    q, (m, d) = X.shape[0], p.signed.shape
+    out = np.empty_like(X)
+    if q == 0:
+        return out
+    c, r = p._ball(X, out)
+    blocks = list(itertools.pairwise(oracles._cuts(m, oracles._BLOCK // 2 // (d + 2 * q))))
+    p._block_sums(0, X, c, r, blocks[::2], out)
+    if len(blocks) > 1:
+        out += p._block_sums(1, X, c, r, blocks[1::2], np.empty_like(X))
+    out /= -m
+    return out + p.lam * np.sign(X) * (np.abs(X) < p.alpha)
+
+
+class InlineWorker:
+    """Runs each job when it is submitted, on the calling thread."""
+
+    def __init__(self):
+        self.jobs = 0
+
+    def submit(self, fn, *args):
+        self.jobs += 1
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+class LateWorker:
+    """Runs each job on its own thread after a pause, so the calling
+    thread's blocks finish first."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.jobs = 0
+
+    def submit(self, fn, *args):
+        self.jobs += 1
+
+        def late():
+            time.sleep(0.02)
+            return fn(*args)
+
+        return self.pool.submit(late)
+
+
+class NoWorker:
+    def submit(self, fn, *args):
+        raise AssertionError("the worker was asked to run a job")
+
+
+@pytest.fixture(scope="module")
+def wide_svm():
+    # d = 123, so even one point splits the 8000 rows into several blocks
+    return real_valued_svm(np.random.default_rng(2024), d=123)
+
+
+def threaded_probe_cases(p, edge, rng):
+    """Points that leave rows of every class, q in {0, 1, 2, 3, 64, 1024},
+    and the same with NaN points among them."""
+    cases = []
+    for q in (0, 1, 2, 3, 64, 1024):
+        X = np.vstack([edge, 2.0 * rng.standard_normal((max(q - 1, 0), p.d))])[:q]
+        cases.append(X)
+        if q >= 3:
+            X = X.copy()
+            X[q // 2] = np.nan
+            cases.append(X)
+    return cases
+
+
+def test_svm_threaded_kernel_matches_sequential_block_halves_bitwise(wide_svm):
+    p, edge = wide_svm
+    for X in threaded_probe_cases(p, edge, np.random.default_rng(5)):
+        got = p.full_subgradients(X)
+        assert got.shape == X.shape
+        assert np.array_equal(got, sequential_subgradients(p, X), equal_nan=True), X.shape
+    assert p._buffers[1].size > 0  # the worker took the odd blocks
+
+
+def test_svm_threaded_kernel_bits_hold_whenever_the_worker_runs(wide_svm, monkeypatch):
+    p, edge = wide_svm
+    cases = threaded_probe_cases(p, edge, np.random.default_rng(6))
+    want = [p.full_subgradients(X) for X in cases]
+    # repeated calls give the same bits
+    for X, w in zip(cases, want):
+        assert np.array_equal(p.full_subgradients(X), w, equal_nan=True), X.shape
+    inline = InlineWorker()
+    monkeypatch.setattr(oracles, "_WORKER", inline)
+    for X, w in zip(cases, want):
+        assert np.array_equal(p.full_subgradients(X), w, equal_nan=True), X.shape
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        late = LateWorker(pool)
+        monkeypatch.setattr(oracles, "_WORKER", late)
+        for X, w in zip(cases, want):
+            assert np.array_equal(p.full_subgradients(X), w, equal_nan=True), X.shape
+    # every case but q = 0 handed its odd blocks to the worker
+    assert inline.jobs == late.jobs == len(cases) - 1
+
+
+def test_svm_single_block_kernel_stays_on_the_calling_thread(rng, monkeypatch):
+    p, edge = real_valued_svm(rng, m=40)
+    monkeypatch.setattr(oracles, "_WORKER", NoWorker())
+    for q in (1, 3, 64):
+        X = ball_points(rng, edge, q)
+        if q == 64:
+            X[7] = np.nan
+        assert np.array_equal(p.full_subgradients(X), sequential_subgradients(p, X),
+                              equal_nan=True)
+        assert_matches_dense_reference(p, X)
+    assert p._buffers[1].size == 0
+
+
+def test_svm_kernel_calls_from_several_threads_keep_their_bits(rng):
+    # three callers, each with its own problem, share the one worker on a
+    # 2-core box, with thread switches forced as often as the interpreter
+    # allows; a job run on the wrong buffer or a lost sum changes the bits
+    problems = [real_valued_svm(rng, m=2000, d=123) for _ in range(3)]
+    cases = [np.vstack([edge, 2.0 * rng.standard_normal((63, p.d))]) for p, edge in problems]
+    want = [p.full_subgradients(X) for (p, _), X in zip(problems, cases)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as callers:
+            runs = [callers.submit(lambda p=p, X=X: [p.full_subgradients(X) for _ in range(20)])
+                    for (p, _), X in zip(problems, cases)]
+            got = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for results, w in zip(got, want):
+        assert len(results) == 20 and all(np.array_equal(g, w) for g in results)
+    assert all(p._buffers[1].size > 0 for p, _ in problems)
 
 
 def test_svm_kernel_peak_memory_stays_within_its_budget(synthetic_libsvm_path):

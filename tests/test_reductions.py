@@ -5,7 +5,9 @@ must equal that formula, written here in plain numpy, bit for bit, so
 traces repeat bit for bit within a format. They agree with the np.linalg form,
 norm(a - a.mean(axis=0), axis=1), to 64 n eps of the largest row norm, and
 overflow at rows n times smaller than it does. The clipped update and the
-direction draws still return exactly what np.linalg gives. The one value
+direction draws still return exactly what np.linalg gives; where the
+squares of a finite step overflow, the clipped update takes the norm of
+the step scaled by its largest entry. The one value
 read in closed form, the mixed update norm of the client-sampled step's
 check, is held to a relative 1e-13; it reaches no trace."""
 
@@ -57,6 +59,10 @@ def linalg_bound(a):
 def ref_inner_update(delta_half, g, eta, D, n):
     v = delta_half - eta * g
     norm = float(np.linalg.norm(v))
+    if norm == np.inf and np.isfinite(v).all():
+        # the squares overflow, yet a finite v has a finite norm
+        top = float(np.abs(v).max())
+        norm = top * float(np.linalg.norm(v / top))
     return n * v if norm <= D else (n * D / norm) * v
 
 
