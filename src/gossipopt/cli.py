@@ -35,7 +35,7 @@ from .core import (
     run_baseline_full_participation,
     run_docs,
 )
-from .metrics import CSV_COLUMNS, GoldsteinProbeConfig, MetricsSink, PROBE_POLICIES
+from .metrics import CSV_COLUMNS, MetricsSink
 from .oracles import (
     CappedHingeSvmProblem,
     LibsvmParseError,
@@ -116,7 +116,6 @@ class AlgorithmConfig:
     sigma: float | None = _at_least(0, default=None)
     c0: float = _above(0, default=1.0)
     nu: float = _at_least(0, default=1.0)
-    per_client_selector: bool = False
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,9 @@ class RunSection:
     goldstein_every: int = _at_least(0, default=0)
     goldstein_samples: int = _at_least(1, default=64)
     goldstein_final_samples: int = _at_least(1, default=4096)
-    probe_policy: str = _one_of(PROBE_POLICIES, default="all_clients")
+    # the probe always reports the worst client; the key stays only so that the
+    # benchmark's workload configs, which write it, parse; it goes with benchmark v2
+    probe_policy: str = _one_of(("all_clients",), default="all_clients")
     out_dir: str = "runs/out"
 
 
@@ -145,9 +146,6 @@ _SECTIONS = {
     "run": RunSection,
 }
 
-_BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
-
-
 def _parse_list(item):
     return lambda raw: tuple(item(tok) for tok in raw.split(",") if tok.strip())
 
@@ -157,7 +155,6 @@ _PARSERS = {
     "str": (str, ""),
     "int": (int, "integer"),
     "float": (float, "number"),
-    "bool": (lambda raw: _BOOL_VALUES[raw.lower()], "boolean"),
     "tuple[float, ...]": (_parse_list(float), "comma-separated numbers"),
     "tuple[int, ...]": (_parse_list(int), "comma-separated integers"),
 }
@@ -173,7 +170,7 @@ def _convert(keypath: str, spec: Field, raw: str):
     parse, expected = _PARSERS[spec.type.removesuffix(" | None")]
     try:
         return parse(raw)
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigError(f"{keypath}: expected {expected}, got {raw!r}") from None
 
 
@@ -397,7 +394,6 @@ def plan_experiment(cfg: ExperimentConfig) -> tuple[Path, MixingMatrix, list]:
                     eta=eta, D=diameter, K=alg.K, T=alg.T, eps_prime=alg.eps_prime,
                     # the baseline mixes with one plain round, whatever the planner would pick
                     R=1 if alg.method == "baseline" else alg.R,
-                    per_client_selector=alg.per_client_selector,
                 )
             except PlanError as exc:
                 key = f"algorithm.{exc.key}" if exc.key else "algorithm"
@@ -430,12 +426,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
             seed=plan.seed, eta=plan.eta, D=plan.D, R=plan.R, K=plan.K,
             T=plan.T, eps_prime=plan.eps_prime, trace_path=str(trace_path),
         )
-        probe_cfg = GoldsteinProbeConfig(
-            radius=plan.delta,
-            num_smoothing_samples=cfg.run.goldstein_samples,
-            probe_point_policy=cfg.run.probe_policy,
-        )
-        final_probe = replace(probe_cfg, num_smoothing_samples=cfg.run.goldstein_final_samples)
         try:
             with MetricsSink(str(trace_path)) as sink:
                 outputs = driver(
@@ -444,11 +434,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
                     matrix,
                     sink,
                     metrics_every=cfg.run.metrics_every,
-                    goldstein_cfg=probe_cfg if cfg.run.goldstein_every > 0 else None,
                     goldstein_every=cfg.run.goldstein_every,
+                    goldstein_samples=cfg.run.goldstein_samples,
                 )
             result.final_goldstein = float(
-                _final_goldstein(problem, outputs.w_out, final_probe, plan.seed)
+                _final_goldstein(problem, outputs.w_out, plan, cfg.run.goldstein_final_samples)
             )
             result.final_objective = float(problem.full_value(outputs.w_out.mean(axis=0)))
         except Exception as exc:  # recorded per seed; sweep continues
@@ -467,12 +457,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     return summary
 
 
-def _final_goldstein(problem, w_out: np.ndarray, cfg: GoldsteinProbeConfig, seed: int) -> float:
+def _final_goldstein(problem, w_out: np.ndarray, plan: RunPlan, samples: int) -> float:
     # the benchmark wraps metrics.goldstein_probe where it stands, so the
     # final probe looks it up there at call time through this lazy import
     from .metrics import goldstein_probe
 
-    return goldstein_probe(problem, w_out, cfg, stream(seed, "goldstein", 0))
+    return goldstein_probe(problem, w_out, plan.delta, samples, stream(plan.seed, "goldstein", 0))
 
 
 def _format_plan(plan: RunPlan, method: str) -> str:

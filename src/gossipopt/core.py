@@ -34,7 +34,6 @@ import numpy as np
 
 from .gossip import GossipConfig, fast_gossip, plain_gossip, plan_rounds
 from .metrics import (
-    GoldsteinProbeConfig,
     InvariantViolation,
     MetricsRecord,
     MetricsSink,
@@ -62,7 +61,9 @@ class PlanError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """An iterate became non-finite; carries the (epoch, step, client) where."""
+    """An iterate became non-finite; carries the (epoch, step, client) where.
+    The client's pre-mix row went non-finite first, if one did: mixing it
+    spreads NaN to every row, as BLAS takes 0 * NaN = NaN."""
 
     def __init__(self, k: int, t: int, client: int):
         super().__init__(
@@ -96,7 +97,6 @@ class RunPlan:
     n: int
     d: int
     consensus_guaranteed: bool = False
-    per_client_selector: bool = False
 
     def __post_init__(self) -> None:
         if self.oracle_type not in ORACLE_TYPES:
@@ -149,7 +149,6 @@ def plan_parameters(
     K: int | None = None,
     T: int | None = None,
     eps_prime: float | None = None,
-    per_client_selector: bool = False,
 ) -> RunPlan:
     """Derive a RunPlan from the target accuracy (delta, epsilon).
 
@@ -235,7 +234,6 @@ def plan_parameters(
         n=n,
         d=d,
         consensus_guaranteed=R >= planned_r,
-        per_client_selector=per_client_selector,
     )
 
 
@@ -247,7 +245,15 @@ def inner_update(delta_half: np.ndarray, g: np.ndarray, eta: float, D: float, n:
     A zero v maps to the zero vector.
     """
     v = delta_half - eta * g
-    norm = math.sqrt(v.dot(v))  # what np.linalg.norm(v) computes, bit for bit
+    norm = _norm(v)
+    if norm <= D:
+        return n * v
+    return (n * D / norm) * v
+
+
+def _norm(v: np.ndarray) -> float:
+    """|v|, bit for bit np.linalg.norm(v) while the sum of squares is finite."""
+    norm = math.sqrt(v.dot(v))
     if norm == math.inf:
         # the sum of squares overflowed (|v| above about 1.34e154); a finite
         # v still has a norm, taken after scaling by its largest entry
@@ -255,9 +261,7 @@ def inner_update(delta_half: np.ndarray, g: np.ndarray, eta: float, D: float, n:
         if math.isfinite(top):
             u = v / top
             norm = top * math.sqrt(u.dot(u))
-    if norm <= D:
-        return n * v
-    return (n * D / norm) * v
+    return norm
 
 
 @dataclass
@@ -285,14 +289,13 @@ class StepSnapshot:
 
 @dataclass(frozen=True, eq=False)
 class EpochOutputs:
-    """The selected output epochs and the averaged query points there.
+    """The selected output epoch and the averaged query points there.
 
-    selected_epochs holds one 0-based epoch index per client (all equal
-    unless per-client selection was requested); row i of w_out is client
-    i's average query point w over its selected epoch.
+    selected_epoch is the 0-based index of the one epoch drawn for every
+    client; row i of w_out is client i's average query point w over it.
     """
 
-    selected_epochs: np.ndarray
+    selected_epoch: int
     w_out: np.ndarray
     counters: RunCounters
 
@@ -304,15 +307,17 @@ def run_docs(
     sink: MetricsSink | None = None,
     *,
     metrics_every: int = 1,
-    goldstein_cfg: GoldsteinProbeConfig | None = None,
     goldstein_every: int = 0,
+    goldstein_samples: int = 64,
     step_observer: Callable[[StepSnapshot], None] | None = None,
 ) -> EpochOutputs:
     """Client-sampled driver: one oracle call per step, accelerated gossip.
 
     With plan.consensus_guaranteed every step also checks the consensus
     bounds the planned R guarantees and raises InvariantViolation on a
-    breach.
+    breach. With goldstein_every > 0, every goldstein_every-th trace row and
+    the last carry the all-clients probe at radius plan.delta, with
+    goldstein_samples points per client.
     """
     _check_compatible(plan, problem, matrix)
     n = plan.n
@@ -331,7 +336,7 @@ def run_docs(
         delta = np.zeros(x.shape)
         upd = inner_update(delta_half[i], g, plan.eta, plan.D, n)
         delta[i] = upd
-        upd_norm = math.sqrt(upd.dot(upd))
+        upd_norm = _norm(upd)
         # non-finite states fall through to the divergence check
         if math.isfinite(upd_norm):
             _require("clipped update norm", upd_norm, n * plan.D, k, t, rtol=1e-12)
@@ -356,7 +361,7 @@ def run_docs(
 
     check = check_consensus if plan.consensus_guaranteed else None
     return _epoch_loop(plan, problem, step, True, 2 * plan.R, check, sink, metrics_every,
-                       goldstein_cfg, goldstein_every, step_observer)
+                       goldstein_every, goldstein_samples, step_observer)
 
 
 def run_baseline_full_participation(
@@ -366,12 +371,13 @@ def run_baseline_full_participation(
     sink: MetricsSink | None = None,
     *,
     metrics_every: int = 1,
-    goldstein_cfg: GoldsteinProbeConfig | None = None,
     goldstein_every: int = 0,
+    goldstein_samples: int = 64,
     step_observer: Callable[[StepSnapshot], None] | None = None,
 ) -> EpochOutputs:
     """Full-participation driver: n oracle calls per step, one plain gossip
-    round per mixing point (plan.R is not used)."""
+    round per mixing point (plan.R is not used); traces and probes as in
+    run_docs."""
     _check_compatible(plan, problem, matrix)
     n = plan.n
     estimator, evals = _estimator(plan)
@@ -388,7 +394,7 @@ def run_baseline_full_participation(
         return x, y, delta, plain_gossip(matrix, delta, 1)
 
     return _epoch_loop(plan, problem, step, False, 2, None, sink, metrics_every,
-                       goldstein_cfg, goldstein_every, step_observer)
+                       goldstein_every, goldstein_samples, step_observer)
 
 
 def _check_compatible(plan: RunPlan, problem, matrix: MixingMatrix) -> None:
@@ -516,13 +522,13 @@ def _epoch_loop(
     check: Callable | None,
     sink: MetricsSink | None,
     metrics_every: int,
-    goldstein_cfg: GoldsteinProbeConfig | None,
     goldstein_every: int,
+    goldstein_samples: int,
     step_observer: Callable[[StepSnapshot], None] | None,
 ) -> EpochOutputs:
     """Run K epochs of T steps around a driver's step.
 
-    The loop owns everything the drivers share: the output-epoch selector,
+    The loop owns everything the drivers share: the output epoch,
     the draws of every step (``_step_draws``, in blocks of steps; ``sampled``
     marks the client-sampled driver), the query points w, the counters, the
     divergence check, the sum of w over the selected epoch, the observer and
@@ -536,24 +542,16 @@ def _epoch_loop(
     """
     n, d, seed = plan.n, plan.d, plan.seed
     sizes = np.array([problem.shard_size(i) for i in range(n)])
-    # the selector has its own stream, so the output epochs are drawn first
-    # and w is summed only over them
-    if plan.per_client_selector:
-        selected = np.array(
-            [int(stream(seed, "selector", i).integers(plan.K)) for i in range(n)]
-        )
-    else:
-        selected = np.full(n, int(stream(seed, "selector").integers(plan.K)))
+    # the selector has its own stream, so the output epoch is drawn first
+    # and w is summed only over it
+    selected = int(stream(seed, "selector").integers(plan.K))
     y = np.zeros((n, d))
     w_sum = np.zeros((n, d))
     counters = RunCounters()
     record_index = 0
 
     for k in range(1, plan.K + 1):
-        picked = selected == k - 1
-        summing = bool(picked.any())
-        # a mask that is True everywhere costs more than no mask
-        picked = True if picked.all() else picked[:, None]
+        summing = k - 1 == selected
         delta_half = np.zeros((n, d))
         for t, s, active, j, z in _step_draws(plan, k, sampled, sizes):
             w = s * delta_half
@@ -571,12 +569,13 @@ def _epoch_loop(
             if not math.isfinite(y_sq + half_flat.dot(half_flat)):
                 bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(delta_half).all(axis=1))
                 if bad.any():
-                    raise DivergenceError(k, t, int(np.argmax(bad)))
+                    pre = ~(np.isfinite(x).all(axis=1) & np.isfinite(delta_pre_mix).all(axis=1))
+                    raise DivergenceError(k, t, int(np.argmax(pre if pre.any() else bad)))
             if check is not None:
                 check(k, t, active, x, y, delta_half, y_sq)
 
             if summing:
-                np.add(w_sum, w, out=w_sum, where=picked)
+                w_sum += w
 
             if step_observer is not None:
                 step_observer(
@@ -597,11 +596,10 @@ def _epoch_loop(
                 if step_no % metrics_every == 0 or step_no == plan.steps_total:
                     cons_x, cons_delta = consensus_errors(x, delta_half)
                     gold = None
-                    if goldstein_cfg is not None and goldstein_every > 0:
+                    if goldstein_every > 0:
                         if record_index % goldstein_every == 0 or step_no == plan.steps_total:
-                            gold = goldstein_probe(
-                                problem, w, goldstein_cfg, stream(seed, "goldstein", k, t)
-                            )
+                            gold = goldstein_probe(problem, w, plan.delta, goldstein_samples,
+                                                   stream(seed, "goldstein", k, t))
                     sink.record(
                         MetricsRecord(
                             k=k,
@@ -617,4 +615,4 @@ def _epoch_loop(
                     )
                     record_index += 1
 
-    return EpochOutputs(selected_epochs=selected, w_out=w_sum / plan.T, counters=counters)
+    return EpochOutputs(selected_epoch=selected, w_out=w_sum / plan.T, counters=counters)

@@ -2,12 +2,12 @@
 a smoothed-gradient stationarity estimate.
 
 The stationarity probe averages full-data subgradients at points sampled
-uniformly from the ball of radius delta/2 around the probe point; the norm
-of that average estimates the gradient norm of the delta/2-smoothed
-objective, whose limit lies in the delta-subdifferential, making it a
-surrogate for the min-norm stationarity measure. It upper-bounds the
-min-norm quantity only in the infinite-sample limit; no min-norm-point
-solve is attempted.
+uniformly from the ball of radius delta/2 around each client's point, at
+the plan's delta, and reports the worst client; the norm of that average
+estimates the gradient norm of the delta/2-smoothed objective, whose limit
+lies in the delta-subdifferential, making it a surrogate for the min-norm
+stationarity measure. It upper-bounds the min-norm quantity only in the
+infinite-sample limit; no min-norm-point solve is attempted.
 """
 
 from __future__ import annotations
@@ -146,62 +146,26 @@ def consensus_errors(x: np.ndarray, delta_half: np.ndarray) -> tuple[float, floa
     return mean_x, _max_row_distance(delta_half)
 
 
-PROBE_POLICIES = ("mean_of_clients", "client_0", "all_clients")
-
-
-@dataclass(frozen=True)
-class GoldsteinProbeConfig:
-    """Stationarity probe settings.
-
-    radius is the stationarity radius delta (points are perturbed within
-    radius/2); num_smoothing_samples is the ball-sample count M;
-    probe_point_policy picks which client iterates are probed
-    (all_clients reports the worst client).
-    """
-
-    radius: float
-    num_smoothing_samples: int = 64
-    probe_point_policy: str = "all_clients"
-
-    def __post_init__(self) -> None:
-        if not self.radius > 0:  # written so that NaN fails
-            raise ValueError(f"radius must be > 0, got {self.radius}")
-        if self.num_smoothing_samples < 1:
-            raise ValueError(
-                f"num_smoothing_samples must be >= 1, got {self.num_smoothing_samples}"
-            )
-        if self.probe_point_policy not in PROBE_POLICIES:
-            raise ValueError(
-                f"probe_point_policy must be one of {PROBE_POLICIES}, "
-                f"got {self.probe_point_policy!r}"
-            )
-
-
 def goldstein_norm_estimate(
-    problem, x: np.ndarray, cfg: GoldsteinProbeConfig, rng: np.random.Generator
+    problem, x: np.ndarray, radius: float, samples: int, rng: np.random.Generator
 ) -> float:
-    """Norm of the averaged full-data subgradient over M uniform draws from
-    the ball of radius cfg.radius / 2 around x."""
-    u = ball(rng, cfg.num_smoothing_samples, problem.d)
-    points = x[None, :] + (cfg.radius / 2.0) * u
+    """Norm of the averaged full-data subgradient over samples uniform draws
+    from the ball of radius radius / 2 around x; radius is the stationarity
+    radius delta."""
+    if not radius > 0:  # written so that NaN fails
+        raise ValueError(f"radius must be > 0, got {radius}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    u = ball(rng, samples, problem.d)
+    points = x[None, :] + (radius / 2.0) * u
     grads = problem.full_subgradients(points)
     return float(np.linalg.norm(grads.mean(axis=0)))
 
 
 def goldstein_probe(
-    problem,
-    w: np.ndarray,
-    cfg: GoldsteinProbeConfig,
-    rng: np.random.Generator,
+    problem, w: np.ndarray, radius: float, samples: int, rng: np.random.Generator
 ) -> float:
-    """Apply the probe policy to the stacked per-client points w (n, d).
-
-    mean_of_clients probes the client average, client_0 probes client 0,
-    all_clients probes every client and reports the worst (largest)
-    estimate, matching the per-client flavor of the convergence guarantee.
-    """
-    if cfg.probe_point_policy == "mean_of_clients":
-        return goldstein_norm_estimate(problem, w.mean(axis=0), cfg, rng)
-    if cfg.probe_point_policy == "client_0":
-        return goldstein_norm_estimate(problem, w[0], cfg, rng)
-    return max(goldstein_norm_estimate(problem, w[i], cfg, rng) for i in range(w.shape[0]))
+    """The worst (largest) estimate over the stacked per-client points w
+    (n, d), client by client from one generator, as the per-client
+    guarantee reads."""
+    return max(goldstein_norm_estimate(problem, w_i, radius, samples, rng) for w_i in w)

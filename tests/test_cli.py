@@ -106,7 +106,6 @@ eps_prime = 0.05
 sigma = 0.2
 c0 = 2.0
 nu = 0.5
-per_client_selector = yes
 
 [run]
 seeds = 3, 1, 2
@@ -114,7 +113,7 @@ metrics_every = 7
 goldstein_every = 2
 goldstein_samples = 16
 goldstein_final_samples = 128
-probe_policy = client_0
+probe_policy = all_clients
 out_dir = {out}
 """
 
@@ -154,12 +153,22 @@ def test_unknown_keys_and_sections_rejected(tmp_path):
         parse_config(path2)
 
 
+def test_removed_knobs_are_config_errors(tmp_path):
+    # one output epoch for every client and one probe policy, the worst client
+    path, _ = write_config(tmp_path, MINIMAL.replace("R = 2", "R = 2\nper_client_selector = no"))
+    with pytest.raises(ConfigError, match="^unknown key algorithm.per_client_selector$"):
+        parse_config(path)
+    for policy in ("mean_of_clients", "client_0"):
+        text = MINIMAL.replace("metrics_every = 5", f"metrics_every = 5\nprobe_policy = {policy}")
+        path, _ = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match="^run.probe_policy: expected one of"):
+            parse_config(path)
+
+
 # (text replaced in MINIMAL, its replacement, the exact ConfigError text)
 TYPE_ERRORS = [
     ("T = 20", "T = twenty", "algorithm.T: expected integer, got 'twenty'"),
     ("delta = 0.5", "delta = half", "algorithm.delta: expected number, got 'half'"),
-    ("R = 2", "R = 2\nper_client_selector = maybe",
-     "algorithm.per_client_selector: expected boolean, got 'maybe'"),
     ("eta = 0.002", "eta = 0.002, x",
      "algorithm.eta: expected comma-separated numbers, got '0.002, x'"),
     ("seeds = 1, 2", "seeds = 1, 2.5",
@@ -173,8 +182,7 @@ TYPE_ERRORS = [
     ("oracle = first", "oracle = second",
      "algorithm.oracle: expected one of ['first', 'zeroth'], got 'second'"),
     ("metrics_every = 5", "metrics_every = 5\nprobe_policy = worst",
-     "run.probe_policy: expected one of ['mean_of_clients', 'client_0', 'all_clients'], "
-     "got 'worst'"),
+     "run.probe_policy: expected one of ['all_clients'], got 'worst'"),
 ]
 
 
@@ -372,10 +380,10 @@ def test_failed_final_probe_is_recorded_per_seed(tmp_path, monkeypatch):
 
     probe = cli._final_goldstein
 
-    def fail_for_seed_1(problem, w_out, cfg, seed):
-        if seed == 1:
+    def fail_for_seed_1(problem, w_out, plan, samples):
+        if plan.seed == 1:
             raise FloatingPointError("probe failed")
-        return probe(problem, w_out, cfg, seed)
+        return probe(problem, w_out, plan, samples)
 
     monkeypatch.setattr(cli, "_final_goldstein", fail_for_seed_1)
     path, out = write_config(tmp_path)
@@ -581,7 +589,7 @@ def test_dry_run_prints_resolved_plan(tmp_path, capsys):
         ("0.002", "1"), ("0.002", "2"), ("0.004", "1"), ("0.004", "2")
     ]
     for b in blocks:
-        assert (b["method"], b["K"], b["T"], b["R"], b["D"], b["per_client_selector"]) == (
+        assert (b["method"], b["K"], b["T"], b["R"], b["D"], b["consensus_guaranteed"]) == (
             "docs", "2", "20", "2", "0.01", "False"
         )
 
@@ -807,7 +815,7 @@ def test_goldstein_cadence_fills_cells(tmp_path):
     text = MINIMAL.replace(
         "metrics_every = 5",
         "metrics_every = 5\ngoldstein_every = 2\ngoldstein_samples = 16\n"
-        "goldstein_final_samples = 32\nprobe_policy = mean_of_clients",
+        "goldstein_final_samples = 32\nprobe_policy = all_clients",
     )
     path, out = write_config(tmp_path, text)
     run_experiment(parse_config(path))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gossipopt.metrics import (
-    GoldsteinProbeConfig,
     MetricsRecord,
     MetricsSink,
     _max_row_distance,
@@ -40,32 +39,28 @@ def test_estimate_exact_for_linear_objective():
     c = np.array([3.0, -4.0])
     p = linear_problem(c)
     for m in (1, 7, 64):
-        cfg = GoldsteinProbeConfig(radius=0.5, num_smoothing_samples=m)
-        est = goldstein_norm_estimate(p, np.array([0.3, 9.0]), cfg, stream(0, "goldstein", m))
+        est = goldstein_norm_estimate(p, np.array([0.3, 9.0]), 0.5, m, stream(0, "goldstein", m))
         assert est == pytest.approx(5.0, abs=1e-12)
 
 
 def test_abs_value_estimate_small_at_kink():
     # mean of 10^4 +-1 signs concentrates near 0 (sd = 0.01)
     p = abs_value_problem()
-    cfg = GoldsteinProbeConfig(radius=0.2, num_smoothing_samples=10_000)
-    est = goldstein_norm_estimate(p, np.zeros(1), cfg, stream(17, "goldstein", 0))
+    est = goldstein_norm_estimate(p, np.zeros(1), 0.2, 10_000, stream(17, "goldstein", 0))
     assert est <= 0.05
 
 
 def test_abs_value_estimate_one_sided_ball():
     p = abs_value_problem()
     delta = 0.2
-    cfg = GoldsteinProbeConfig(radius=delta, num_smoothing_samples=500)
-    est = goldstein_norm_estimate(p, np.array([delta]), cfg, stream(18, "goldstein", 0))
+    est = goldstein_norm_estimate(p, np.array([delta]), delta, 500, stream(18, "goldstein", 0))
     assert est == 1.0  # every probed point sits strictly right of the kink
 
 
 def test_estimate_at_quadratic_minimizer_scales_with_radius():
     q = _ShiftedQuadratic(6)
     for radius in (0.4, 0.1, 0.025):
-        cfg = GoldsteinProbeConfig(radius=radius, num_smoothing_samples=2000)
-        est = goldstein_norm_estimate(q, np.zeros(6), cfg, stream(19, "goldstein", 1))
+        est = goldstein_norm_estimate(q, np.zeros(6), radius, 2000, stream(19, "goldstein", 1))
         assert est <= radius  # smoothing bias is O(radius), tiny at the minimizer
 
 
@@ -74,44 +69,33 @@ def test_estimate_translation_equivariant_and_constant_invariant():
     a = np.array([0.7, -1.2, 0.0, 3.3])
     shifted = _ShiftedQuadratic(4, center=a)
     x = np.array([0.2, 0.1, -0.5, 1.0])
-    cfg = GoldsteinProbeConfig(radius=0.3, num_smoothing_samples=512)
-    e1 = goldstein_norm_estimate(base, x, cfg, stream(20, "goldstein", 2))
-    e2 = goldstein_norm_estimate(shifted, x + a, cfg, stream(20, "goldstein", 2))
+    e1 = goldstein_norm_estimate(base, x, 0.3, 512, stream(20, "goldstein", 2))
+    e2 = goldstein_norm_estimate(shifted, x + a, 0.3, 512, stream(20, "goldstein", 2))
     assert e1 == e2  # matched draws make this exact
 
     p = PiecewiseProblem.generate(n=1, d=4, samples_per_client=3, seed=6)
     bumped = PiecewiseProblem.from_arrays(1, p.C, p.U, p.V, p.p + 5.0, p.q + 5.0)
-    e3 = goldstein_norm_estimate(p, x, cfg, stream(20, "goldstein", 3))
-    e4 = goldstein_norm_estimate(bumped, x, cfg, stream(20, "goldstein", 3))
+    e3 = goldstein_norm_estimate(p, x, 0.3, 512, stream(20, "goldstein", 3))
+    e4 = goldstein_norm_estimate(bumped, x, 0.3, 512, stream(20, "goldstein", 3))
     assert e3 == e4  # adding a constant to f leaves the estimate untouched
 
 
 def test_probe_policies():
     q = _ShiftedQuadratic(3)
     w = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    cfg_mean = GoldsteinProbeConfig(radius=0.1, num_smoothing_samples=64,
-                                    probe_point_policy="mean_of_clients")
-    cfg_zero = GoldsteinProbeConfig(radius=0.1, num_smoothing_samples=64,
-                                    probe_point_policy="client_0")
-    cfg_all = GoldsteinProbeConfig(radius=0.1, num_smoothing_samples=64,
-                                   probe_point_policy="all_clients")
-    m = goldstein_probe(q, w, cfg_mean, stream(21, "goldstein", 0))
-    z = goldstein_probe(q, w, cfg_zero, stream(21, "goldstein", 0))
-    a = goldstein_probe(q, w, cfg_all, stream(21, "goldstein", 0))
-    assert m == pytest.approx(2.0, abs=0.05)   # gradient at the midpoint
-    assert z == pytest.approx(0.0, abs=0.05)   # client 0 sits at the minimizer
+    a = goldstein_probe(q, w, 0.1, 64, stream(21, "goldstein", 0))
     assert a == pytest.approx(4.0, abs=0.1)    # worst client dominates
 
 
 def test_probe_config_validation():
-    with pytest.raises(ValueError):
-        GoldsteinProbeConfig(radius=0.0)
-    with pytest.raises(ValueError, match="radius must be > 0, got nan"):
-        GoldsteinProbeConfig(radius=float("nan"))
-    with pytest.raises(ValueError):
-        GoldsteinProbeConfig(radius=0.1, num_smoothing_samples=0)
-    with pytest.raises(ValueError):
-        GoldsteinProbeConfig(radius=0.1, probe_point_policy="median")
+    w = np.zeros((2, 3))
+    for probe, x in ((goldstein_norm_estimate, w[0]), (goldstein_probe, w)):
+        with pytest.raises(ValueError, match="radius must be > 0, got 0.0"):
+            probe(_ShiftedQuadratic(3), x, 0.0, 64, stream(0, "goldstein", 0))
+        with pytest.raises(ValueError, match="radius must be > 0, got nan"):
+            probe(_ShiftedQuadratic(3), x, float("nan"), 64, stream(0, "goldstein", 0))
+        with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+            probe(_ShiftedQuadratic(3), x, 0.1, 0, stream(0, "goldstein", 0))
 
 
 def test_consensus_errors_formulas():

@@ -12,8 +12,6 @@ from gossipopt.oracles import LibsvmData, _parse_lines
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) equals cfg."""
     def fmt(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
         if isinstance(v, tuple):
             return ", ".join(str(x) for x in v)
         return str(v)
